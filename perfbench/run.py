@@ -34,7 +34,7 @@ REQUIRED = ("src/passiveqkd/__init__.py",
             "scenarios/correlation_vs_attenuation.json",
             "scenarios/keyrate_vs_distance.json")
 WORKLOAD_NAMES = ("simulate-io", "sweep", "keyrate-curve")
-SETUP_REPEATS = 5
+SETUP_PROBES_EACH_SIDE = 3
 IMPORT_PROBE_REPEATS = 3
 # The whole run must end within 180 s.
 RUN_LIMIT_S = 170.0
@@ -58,14 +58,14 @@ def _python(args, timeout):
     return proc
 
 
-def measure_setup():
-    """Median wall time of a fresh interpreter importing the package."""
+def time_setup(repeats):
+    """Wall times of fresh interpreters importing the package."""
     times = []
-    for _ in range(SETUP_REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         _python(["-c", "import passiveqkd"], timeout=60)
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return times
 
 
 def parse_importtime(stderr):
@@ -147,9 +147,14 @@ def main(argv=None):
     try:
         if args.trace:
             imports = measure_imports()
+            result, peak_rss_mb = run_worker(args, deadline)
         else:
-            setup_s = measure_setup()
-        result, peak_rss_mb = run_worker(args, deadline)
+            # Half the set-up probes run before the workload and half after,
+            # so that their median spans the run rather than its first seconds.
+            setups = time_setup(SETUP_PROBES_EACH_SIDE)
+            result, peak_rss_mb = run_worker(args, deadline)
+            setups += time_setup(SETUP_PROBES_EACH_SIDE)
+            setup_s = statistics.median(setups)
     except (BenchError, subprocess.TimeoutExpired, OSError, ValueError) as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 2

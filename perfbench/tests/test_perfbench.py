@@ -34,7 +34,8 @@ def test_declared_metrics_have_valid_names_and_units():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == END_TO_END
     assert {m["name"]: m["unit"] for m in spec["per_layer"]} == PER_LAYER
-    assert sorted(w["name"] for w in spec["workloads"]) == sorted(WORKLOADS)
+    # ``sweep`` is runnable but not declared: see "Workloads" in the README.
+    assert sorted(w["name"] for w in spec["workloads"]) == ["keyrate-curve", "simulate-io"]
     assert sorted(run.WORKLOAD_NAMES) == sorted(WORKLOADS)
     for name, unit in {**END_TO_END, **PER_LAYER}.items():
         assert NAME.fullmatch(name), name

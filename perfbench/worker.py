@@ -178,6 +178,9 @@ def run(pkg, root, work_dir, name, seed, seconds, trace, smoke=False):
     walls, traced_walls, summaries = [], [], []
     tracer = Tracer() if trace else None
     probe = workers_probe(pkg, root, seed, smoke, tally) if trace else None
+    # An untimed warm-up iteration, checked like the others, lets lazy
+    # imports and first-touch costs settle before timing starts.
+    run_iteration(workload, tally, "warm-up")
     start = time.perf_counter()
     iteration = 0
     while True:
@@ -187,9 +190,14 @@ def run(pkg, root, work_dir, name, seed, seconds, trace, smoke=False):
         else:
             walls.append(run_iteration(workload, tally, iteration))
         iteration += 1
+        if trace and iteration % 2:
+            continue  # an untraced iteration is always followed by a traced one
         done = len(traced_walls) >= MIN_TRACED_PAIRS if trace else (
             len(walls) >= MIN_ITERATIONS)
-        if done and time.perf_counter() - start >= seconds and not (trace and iteration % 2):
+        # Start no iteration (or traced pair) that would end past ``seconds``,
+        # so a run takes no longer than asked for.
+        step = statistics.median(walls) * (2 if trace else 1)
+        if done and time.perf_counter() - start + step > seconds:
             break
     workload.clean()
     result = {
