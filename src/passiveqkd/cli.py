@@ -107,7 +107,8 @@ def _moment_rows(batch, config):
         corr = model.correlation_coefficient(n0, a, alice_ch, bob_ch, eta_tot)
         sample_corr = float(np.corrcoef(alice, bob)[0, 1])
         rows += [
-            (f"var_{quad}1", float(np.mean(out * out)), e0 * n0 + 1.0),
+            (f"var_{quad}1", float(np.mean(out * out)),
+             model.outgoing_quadrature_variance(e0, n0)),
             (f"var_{quad}2", float(np.mean(alice * alice)), moments.alice_var),
             (f"var_{quad}3", float(np.mean(bob * bob)), moments.bob_var),
             (f"cov_{quad}2_{quad}3", float(np.mean(alice * bob)), moments.cross),
@@ -115,7 +116,7 @@ def _moment_rows(batch, config):
         ]
         if tap is not None:
             rows.append((f"var_{quad}4", float(np.mean(tap * tap)),
-                         e0 * n0 * (1.0 - t) / 2.0 + 1.0))
+                         model.tap_quadrature_variance(e0, n0, t)))
     return rows
 
 
@@ -273,21 +274,19 @@ def _cmd_keyrate(args):
              "keyrate.optimize_alice_attenuation is true"])
     base = scenario.system_config(
         alice_attenuation=scenario.alice_attenuation if not optimize else 1.0)
-
-    def point(length):
-        t = keyrate.transmittance_from_length(length, options.attenuation_db_per_km)
-        if optimize:
-            result = keyrate.optimize_attenuation(
-                base, efficiency=scenario.efficiency, transmittance=t,
-                length_km=length)
-        else:
-            result = keyrate.key_rate_point(
-                base, efficiency=scenario.efficiency, transmittance=t,
-                length_km=length)
-        return (length, t, result.budget.prep_excess_noise, result.mutual_info,
-                result.holevo_info, result.rate, result.alice_attenuation)
-
-    rows = _pool_map(point, list(grid))
+    ts = [keyrate.transmittance_from_length(length, options.attenuation_db_per_km)
+          for length in grid]
+    configs = [base] * len(ts)
+    if optimize:
+        # One vectorised search over the whole curve.
+        e0s, _ = keyrate._best_attenuation(base, scenario.efficiency, ts)
+        configs = [base.replace(alice_attenuation=float(e0)) for e0 in e0s]
+    rows = []
+    for length, t, config in zip(grid, ts, configs):
+        result = keyrate.key_rate_point(config, efficiency=scenario.efficiency,
+                                        transmittance=t, length_km=length)
+        rows.append((length, t, result.budget.prep_excess_noise, result.mutual_info,
+                     result.holevo_info, result.rate, result.alice_attenuation))
     _write_csv(args.out, "keyrate",
                ("L_km", "T", "eps_A", "I_AB", "chi_BE", "R", "eta0"), rows)
     messages = [f"wrote {len(rows)} key-rate points to {args.out}"]

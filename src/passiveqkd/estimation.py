@@ -18,7 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, UnidentifiableFitError
+from .errors import (
+    DegenerateDataError,
+    ParameterError,
+    UnidentifiableFitError,
+    is_integer,
+    is_real,
+)
 from .model import correlation_coefficient, mutual_information_from_correlation
 
 __all__ = [
@@ -58,17 +64,15 @@ class CorrEstimate:
 
     def __post_init__(self):
         violations = []
-        if not (isinstance(self.mean_corr, (int, float)) and math.isfinite(self.mean_corr)
-                and abs(self.mean_corr) <= 1.0):
+        if not (is_real(self.mean_corr) and abs(self.mean_corr) <= 1.0):
             violations.append(f"mean_corr must lie in [-1, 1], got {self.mean_corr!r}")
-        if not (isinstance(self.std_dev, (int, float)) and math.isfinite(self.std_dev)
-                and self.std_dev >= 0):
+        if not (is_real(self.std_dev) and self.std_dev >= 0):
             violations.append(f"std_dev must be finite and >= 0, got {self.std_dev!r}")
-        if not (isinstance(self.n_blocks, int) and self.n_blocks >= 2):
+        if not (is_integer(self.n_blocks) and self.n_blocks >= 2):
             violations.append(f"n_blocks must be an integer >= 2, got {self.n_blocks!r}")
-        if not (isinstance(self.block_size, int) and self.block_size >= 2):
+        if not (is_integer(self.block_size) and self.block_size >= 2):
             violations.append(f"block_size must be an integer >= 2, got {self.block_size!r}")
-        if not (isinstance(self.n_dropped, int) and self.n_dropped >= 0):
+        if not (is_integer(self.n_dropped) and self.n_dropped >= 0):
             violations.append(f"n_dropped must be an integer >= 0, got {self.n_dropped!r}")
         if violations:
             raise ParameterError(violations)
@@ -116,7 +120,7 @@ def blocked_correlation(x_alice, x_bob, n_blocks):
     elif x.shape[0] != y.shape[0]:
         violations.append(
             f"column lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if not (isinstance(n_blocks, int) and n_blocks >= 2):
+    if not (is_integer(n_blocks) and n_blocks >= 2):
         violations.append(f"n_blocks must be an integer >= 2, got {n_blocks!r}")
     if violations:
         raise ParameterError(violations)
@@ -187,7 +191,7 @@ def fit_mode_overlap(points, alice_channel, bob_channel, path_transmittance=1.0,
     pts = list(points)
     if not pts:
         raise ParameterError(["points must contain at least one (n0, estimate)"])
-    if not (isinstance(std_floor, (int, float)) and std_floor > 0):
+    if not (is_real(std_floor) and std_floor > 0):
         raise ParameterError([f"std_floor must be > 0, got {std_floor!r}"])
     num = 0.0
     den = 0.0

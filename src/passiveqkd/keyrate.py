@@ -34,20 +34,25 @@ lose ten digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize as _sciopt
 
-from .errors import ModelInconsistencyError, NumericalDomainError, ParameterError
+from .errors import (
+    ModelInconsistencyError,
+    NumericalDomainError,
+    ParameterError,
+    check_fraction,
+    check_nonneg,
+    is_real,
+    raise_violations,
+)
 from .estimation import empirical_mutual_info
 from .model import (
-    SystemConfig,
+    _excess_noise,
     correlation_coefficient,
-    modulation_variance,
     mutual_information_from_correlation,
-    preparation_excess_noise,
 )
 
 __all__ = [
@@ -75,6 +80,14 @@ _LN2 = math.log(2.0)
 # Attenuator search window for optimised-preparation rates.
 ATTENUATION_BOUNDS = (1e-8, 1.0)
 _COARSE_POINTS = 241
+# Golden-section steps after the coarse grid: they shrink the bracket of
+# two grid cells (0.15 in log eta0) below 1e-7, where the rate is flat
+# to its rounding noise.
+_GOLDEN_STEPS = 30
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Distances probed per round by distance_cutoff: three rounds bracket a
+# 200 km search to 1e-3 km.
+_CUTOFF_PROBES = 64
 
 
 @dataclass(frozen=True)
@@ -151,21 +164,13 @@ def _require(cond, message, violations):
         violations.append(message)
 
 
-def _finite(x):
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 def transmittance_from_length(length_km, attenuation_db_per_km=0.2):
     """Fibre transmittance T = 10^(-gamma * L / 10)."""
     violations = []
-    _require(_finite(length_km) and length_km >= 0,
-             f"length_km must be finite and >= 0, got {length_km!r}", violations)
-    _require(_finite(attenuation_db_per_km) and attenuation_db_per_km >= 0,
-             f"attenuation_db_per_km must be finite and >= 0, got {attenuation_db_per_km!r}",
-             violations)
-    if violations:
-        raise ParameterError(violations)
-    return 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
+    length = check_nonneg(length_km, "length_km", violations)
+    gamma = check_nonneg(attenuation_db_per_km, "attenuation_db_per_km", violations)
+    raise_violations(violations)
+    return 10.0 ** (-gamma * length / 10.0)
 
 
 def detector_added_noise(channel):
@@ -180,41 +185,31 @@ def detector_added_noise(channel):
 def channel_added_noise(transmittance, excess_noise):
     """Channel added noise 1/T - 1 + eps, referred to the channel input."""
     violations = []
-    _require(_finite(transmittance) and 0.0 < transmittance <= 1.0,
-             f"transmittance must lie in (0, 1], got {transmittance!r}", violations)
-    _require(_finite(excess_noise) and excess_noise >= 0.0,
-             f"excess_noise must be finite and >= 0, got {excess_noise!r}", violations)
-    if violations:
-        raise ParameterError(violations)
-    return 1.0 / transmittance - 1.0 + excess_noise
+    t = check_fraction(transmittance, "transmittance", violations)
+    eps = check_nonneg(excess_noise, "excess_noise", violations)
+    raise_violations(violations)
+    return _channel_noise(t, eps)
 
 
 def total_added_noise(channel_noise, detector_noise, transmittance):
     """Total added noise referred to the channel input:
     channel_noise + detector_noise / T."""
     violations = []
-    _require(_finite(channel_noise) and channel_noise >= 0.0,
-             f"channel_noise must be finite and >= 0, got {channel_noise!r}", violations)
-    _require(_finite(detector_noise) and detector_noise >= 0.0,
-             f"detector_noise must be finite and >= 0, got {detector_noise!r}", violations)
-    _require(_finite(transmittance) and 0.0 < transmittance <= 1.0,
-             f"transmittance must lie in (0, 1], got {transmittance!r}", violations)
-    if violations:
-        raise ParameterError(violations)
-    return channel_noise + detector_noise / transmittance
+    chi_line = check_nonneg(channel_noise, "channel_noise", violations)
+    chi_det = check_nonneg(detector_noise, "detector_noise", violations)
+    t = check_fraction(transmittance, "transmittance", violations)
+    raise_violations(violations)
+    return _total_noise(chi_line, chi_det, t)
 
 
 def mutual_information_bits(v, total_noise):
     """Shannon information log2((V + chi_tot) / (1 + chi_tot)) between the
     modulation data and Bob's outcome, bits per channel use."""
     violations = []
-    _require(_finite(v) and v >= 1.0, f"v must be >= 1, got {v!r}", violations)
-    _require(_finite(total_noise) and total_noise >= 0.0,
-             f"total_noise must be finite and >= 0, got {total_noise!r}", violations)
-    if violations:
-        raise ParameterError(violations)
-    # log2((v + chi)/(1 + chi)) via log1p for precision when v - 1 is tiny.
-    return math.log1p((v - 1.0) / (1.0 + total_noise)) / _LN2
+    _require(is_real(v) and v >= 1.0, f"v must be >= 1, got {v!r}", violations)
+    chi_tot = check_nonneg(total_noise, "total_noise", violations)
+    raise_violations(violations)
+    return float(_mutual_info(float(v), chi_tot))
 
 
 def bosonic_entropy(mean_photons):
@@ -224,12 +219,9 @@ def bosonic_entropy(mean_photons):
     Arguments within roundoff below zero are treated as zero so that
     eigenvalues equal to 1 up to floating error are handled cleanly.
     """
-    x = mean_photons
-    if not _finite(x) or x < -1e-6:
-        raise ParameterError([f"mean_photons must be >= 0, got {x!r}"])
-    if x <= 0.0:
-        return 0.0
-    return (x + 1.0) * math.log1p(x) / _LN2 - x * math.log2(x)
+    if not is_real(mean_photons):
+        raise ParameterError([f"mean_photons must be >= 0, got {mean_photons!r}"])
+    return float(_entropy(np.float64(mean_photons)))
 
 
 def holevo_bound(v, transmittance, channel_noise, detector_noise, total_noise):
@@ -252,64 +244,25 @@ def holevo_bound(v, transmittance, channel_noise, detector_noise, total_noise):
         (chi, eigenvalues, intermediates) with intermediates = (A, B, C, D).
     """
     violations = []
-    _require(_finite(v) and v >= 1.0, f"v must be >= 1, got {v!r}", violations)
-    _require(_finite(transmittance) and 0.0 < transmittance <= 1.0,
-             f"transmittance must lie in (0, 1], got {transmittance!r}", violations)
-    _require(_finite(channel_noise) and channel_noise >= 0.0,
-             f"channel_noise must be finite and >= 0, got {channel_noise!r}", violations)
-    _require(_finite(detector_noise) and detector_noise >= 0.0,
-             f"detector_noise must be finite and >= 0, got {detector_noise!r}", violations)
-    _require(_finite(total_noise) and total_noise >= 0.0,
-             f"total_noise must be finite and >= 0, got {total_noise!r}", violations)
-    if not violations:
-        loss_floor = 1.0 / transmittance - 1.0
-        _require(channel_noise >= loss_floor - 1e-9 * max(1.0, loss_floor),
-                 f"channel_noise {channel_noise!r} is below the pure-loss "
-                 f"floor 1/T - 1 = {loss_floor!r}", violations)
-        consistent = channel_noise + detector_noise / transmittance
-        _require(abs(total_noise - consistent) <= 1e-9 * max(1.0, abs(consistent)),
-                 f"total_noise {total_noise!r} does not equal channel_noise + "
-                 f"detector_noise/transmittance = {consistent!r}", violations)
-    if violations:
-        raise ParameterError(violations)
-
-    t = transmittance
-    v_mod = v - 1.0
-    eps = max(channel_noise - (1.0 / t - 1.0), 0.0)
-
-    a_coef = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + channel_noise)) ** 2
-    sqrt_b = t * (v * channel_noise + 1.0)
-    b_coef = sqrt_b * sqrt_b
-    # A - 2*sqrt(B) = W^2 exactly, so the discriminant (A - 2rB)(A + 2rB)
-    # never cancels and never goes negative.
-    w = (1.0 - t) * v_mod - t * eps
-    disc_root = abs(w) * math.sqrt(a_coef + 2.0 * sqrt_b)
-    l1_sq = (a_coef + disc_root) / 2.0
-    l2_sq = b_coef / l1_sq
-
-    den_root = t * (v + total_noise)
-    sqrt_d = (v + sqrt_b * detector_noise) / den_root
-    d_coef = sqrt_d * sqrt_d
-    # Likewise (C - 2*sqrt(D)) * den = (chi_det*W + M)^2 exactly.
-    m = (1.0 - t) * v_mod + v * t * eps
-    cd_root = (detector_noise * w + m) / den_root
-    c_coef = cd_root * cd_root + 2.0 * sqrt_d
-    disc_root_cd = abs(cd_root) * math.sqrt(c_coef + 2.0 * sqrt_d)
-    l3_sq = (c_coef + disc_root_cd) / 2.0
-    l4_sq = d_coef / l3_sq
-
-    if min(l1_sq, l2_sq, l3_sq, l4_sq) <= 0.0:
-        raise NumericalDomainError(
-            f"nonpositive squared eigenvalue from v={v!r}, T={t!r}, "
-            f"chi_line={channel_noise!r}, chi_det={detector_noise!r}")
-    lambdas = (math.sqrt(l1_sq), math.sqrt(l2_sq),
-               math.sqrt(l3_sq), math.sqrt(l4_sq), 1.0)
-    chi = (bosonic_entropy((lambdas[0] - 1.0) / 2.0)
-           + bosonic_entropy((lambdas[1] - 1.0) / 2.0)
-           - bosonic_entropy((lambdas[2] - 1.0) / 2.0)
-           - bosonic_entropy((lambdas[3] - 1.0) / 2.0)
-           - bosonic_entropy((lambdas[4] - 1.0) / 2.0))
-    return HolevoResult(chi, lambdas, (a_coef, b_coef, c_coef, d_coef))
+    _require(is_real(v) and v >= 1.0, f"v must be >= 1, got {v!r}", violations)
+    check_fraction(transmittance, "transmittance", violations)
+    check_nonneg(channel_noise, "channel_noise", violations)
+    check_nonneg(detector_noise, "detector_noise", violations)
+    check_nonneg(total_noise, "total_noise", violations)
+    raise_violations(violations)
+    args = [np.float64(x) for x in (v, transmittance, channel_noise, detector_noise,
+                                    total_noise)]
+    v, t, chi_line, chi_det, chi_tot = args
+    loss_floor = 1.0 / t - 1.0
+    _require(chi_line >= loss_floor - 1e-9 * max(1.0, loss_floor),
+             f"channel_noise {channel_noise!r} is below the pure-loss "
+             f"floor 1/T - 1 = {float(loss_floor)!r}", violations)
+    consistent = chi_line + chi_det / t
+    _require(abs(chi_tot - consistent) <= 1e-9 * max(1.0, abs(consistent)),
+             f"total_noise {total_noise!r} does not equal channel_noise + "
+             f"detector_noise/transmittance = {float(consistent)!r}", violations)
+    raise_violations(violations)
+    return _holevo_result(*_holevo(*args))
 
 
 def secure_key_rate(efficiency, mutual_info, holevo_info):
@@ -320,16 +273,146 @@ def secure_key_rate(efficiency, mutual_info, holevo_info):
     the crossing.
     """
     violations = []
-    _require(_finite(efficiency) and 0.0 < efficiency <= 1.0,
-             f"efficiency must lie in (0, 1], got {efficiency!r}", violations)
-    _require(_finite(mutual_info) and mutual_info >= 0.0,
-             f"mutual_info must be finite and >= 0, got {mutual_info!r}", violations)
-    _require(_finite(holevo_info) and holevo_info >= 0.0,
-             f"holevo_info must be finite and >= 0, got {holevo_info!r}", violations)
-    if violations:
-        raise ParameterError(violations)
-    rate = efficiency * mutual_info - holevo_info
+    f = check_fraction(efficiency, "efficiency", violations)
+    _require(is_real(mutual_info), f"mutual_info must be finite and >= 0, "
+             f"got {mutual_info!r}", violations)
+    _require(is_real(holevo_info), f"holevo_info must be finite and >= 0, "
+             f"got {holevo_info!r}", violations)
+    raise_violations(violations)
+    rate = float(_secure_rate(f, np.float64(mutual_info), np.float64(holevo_info)))
     return rate, rate > 0.0
+
+
+# The key-rate core: the chain below runs over numpy arrays broadcast
+# against each other (one element per (eta0, T) pair) and checks every
+# element. Arguments are validated once, by the public functions above
+# and below, before they reach it.
+
+def _channel_noise(t, eps):
+    return 1.0 / t - 1.0 + eps
+
+
+def _total_noise(chi_line, chi_det, t):
+    return chi_line + chi_det / t
+
+
+def _mutual_info(v, chi_tot):
+    # log2((v + chi)/(1 + chi)) via log1p for precision when v - 1 is tiny.
+    return np.log1p((v - 1.0) / (1.0 + chi_tot)) / _LN2
+
+
+def _first(bad, *arrays):
+    """The values of ``arrays`` at the first element where ``bad`` holds."""
+    i = np.unravel_index(np.argmax(bad), np.shape(bad))
+    return [float(np.broadcast_to(a, np.shape(bad))[i]) for a in arrays]
+
+
+def _entropy(x):
+    bad = x < -1e-6
+    if bad.any():
+        raise ParameterError([f"mean_photons must be >= 0, got {_first(bad, x)[0]!r}"])
+    pos = x > 0.0
+    y = np.where(pos, x, 1.0)
+    return np.where(pos, (y + 1.0) * np.log1p(y) / _LN2 - y * np.log2(y), 0.0)
+
+
+def _holevo(v, t, chi_line, chi_det, chi_tot):
+    """Holevo bound over arrays: (chi, [l1, l2, l3, l4], (A, B, C, D)), the
+    four eigenvalues stacked along a new first axis."""
+    v_mod = v - 1.0
+    eps = np.maximum(chi_line - (1.0 / t - 1.0), 0.0)
+
+    a_coef = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
+    sqrt_b = t * (v * chi_line + 1.0)
+    b_coef = sqrt_b * sqrt_b
+    # A - 2*sqrt(B) = W^2 exactly, so the discriminant (A - 2rB)(A + 2rB)
+    # never cancels and never goes negative.
+    w = (1.0 - t) * v_mod - t * eps
+    l1_sq = (a_coef + np.abs(w) * np.sqrt(a_coef + 2.0 * sqrt_b)) / 2.0
+    l2_sq = b_coef / l1_sq
+
+    den_root = t * (v + chi_tot)
+    sqrt_d = (v + sqrt_b * chi_det) / den_root
+    d_coef = sqrt_d * sqrt_d
+    # Likewise (C - 2*sqrt(D)) * den = (chi_det*W + M)^2 exactly.
+    m = (1.0 - t) * v_mod + v * t * eps
+    cd_root = (chi_det * w + m) / den_root
+    c_coef = cd_root * cd_root + 2.0 * sqrt_d
+    l3_sq = (c_coef + np.abs(cd_root) * np.sqrt(c_coef + 2.0 * sqrt_d)) / 2.0
+    l4_sq = d_coef / l3_sq
+
+    squares = np.stack(np.broadcast_arrays(l1_sq, l2_sq, l3_sq, l4_sq))
+    bad = ~(squares > 0.0).all(axis=0)
+    if bad.any():
+        v_, t_, line_, det_ = _first(bad, v, t, chi_line, chi_det)
+        raise NumericalDomainError(
+            f"nonpositive squared eigenvalue from v={v_!r}, T={t_!r}, "
+            f"chi_line={line_!r}, chi_det={det_!r}")
+    lambdas = np.sqrt(squares)
+    g = _entropy((lambdas - 1.0) / 2.0)
+    # The fifth eigenvalue is 1 and contributes G(0) = 0.
+    return g[0] + g[1] - g[2] - g[3], lambdas, (a_coef, b_coef, c_coef, d_coef)
+
+
+def _holevo_result(chi, lambdas, abcd):
+    return HolevoResult(float(chi), tuple(float(lam) for lam in lambdas) + (1.0,),
+                        tuple(float(x) for x in abcd))
+
+
+def _secure_rate(efficiency, mutual, chi):
+    for name, x in (("mutual_info", mutual), ("holevo_info", chi)):
+        bad = ~(np.isfinite(x) & (x >= 0.0))
+        if bad.any():
+            raise ParameterError(
+                [f"{name} must be finite and >= 0, got {_first(bad, x)[0]!r}"])
+    return efficiency * mutual - chi
+
+
+class _Chain(NamedTuple):
+    budget: NoiseBudget
+    mutual: np.ndarray
+    chi: np.ndarray
+    lambdas: np.ndarray
+    abcd: tuple
+    rate: np.ndarray
+
+
+def _budget(config, e0, t):
+    """Noise budget for broadcast arrays ``e0`` (the attenuator
+    transmittance) and ``t`` (the channel's)."""
+    src, alice = config.source, config.alice_detector.x
+    v_mod = e0 * src.mean_photon_number
+    eps = _excess_noise(v_mod, e0, alice.efficiency, alice.noise_variance,
+                        src.mode_overlap)
+    chi_det = detector_added_noise(config.bob_detector.x)
+    chi_line = _channel_noise(t, eps)
+    return NoiseBudget(v_mod, eps, chi_line, chi_det,
+                       _total_noise(chi_line, chi_det, t))
+
+
+def _chain(config, efficiency, e0, t):
+    """Noise budget, I_AB, chi_BE and R over broadcast arrays ``e0`` and ``t``."""
+    budget = _budget(config, e0, t)
+    mutual = _mutual_info(budget.v, budget.total_noise)
+    chi, lambdas, abcd = _holevo(budget.v, t, budget.channel_noise,
+                                 budget.detector_noise, budget.total_noise)
+    return _Chain(budget, mutual, chi, lambdas, abcd,
+                  _secure_rate(efficiency, mutual, chi))
+
+
+def _point_args(config, efficiency, transmittance, length_km):
+    """Validated (efficiency, T) of one key-rate evaluation; T comes from
+    ``transmittance``, else ``length_km`` at 0.2 dB/km, else the config."""
+    violations = []
+    check_fraction(efficiency, "efficiency", violations)
+    if transmittance is not None:
+        check_fraction(transmittance, "transmittance", violations)
+    raise_violations(violations)
+    if transmittance is not None:
+        return float(efficiency), float(transmittance)
+    if length_km is not None:
+        return float(efficiency), transmittance_from_length(length_km)
+    return float(efficiency), config.channel.transmittance
 
 
 def noise_budget(config, transmittance=None):
@@ -338,22 +421,12 @@ def noise_budget(config, transmittance=None):
     ``transmittance`` overrides the config's channel transmittance,
     which is convenient for distance sweeps.
     """
-    t = config.channel.transmittance if transmittance is None else transmittance
-    v_mod = modulation_variance(config.alice_attenuation,
-                                config.source.mean_photon_number)
-    eps = preparation_excess_noise(v_mod, config.alice_attenuation,
-                                   config.alice_detector.x,
-                                   config.source.mode_overlap)
-    chi_det = detector_added_noise(config.bob_detector.x)
-    chi_line = channel_added_noise(t, eps)
-    chi_tot = total_added_noise(chi_line, chi_det, t)
-    return NoiseBudget(
-        modulation_var=v_mod,
-        prep_excess_noise=eps,
-        channel_noise=chi_line,
-        detector_noise=chi_det,
-        total_noise=chi_tot,
-    )
+    _, t = _point_args(config, 1.0, transmittance, None)
+    return _float_budget(_budget(config, config.alice_attenuation, t))
+
+
+def _float_budget(budget):
+    return NoiseBudget(*(float(getattr(budget, f.name)) for f in fields(budget)))
 
 
 def key_rate_point(config, *, efficiency=0.95, transmittance=None,
@@ -369,30 +442,75 @@ def key_rate_point(config, *, efficiency=0.95, transmittance=None,
     The security analysis uses the X-arm detector calibrations; the P
     arm is structurally symmetric.
     """
-    if transmittance is not None:
-        t = transmittance
-    elif length_km is not None:
-        t = transmittance_from_length(length_km)
-    else:
-        t = config.channel.transmittance
-    budget = noise_budget(config, t)
-    mutual = mutual_information_bits(budget.v, budget.total_noise)
-    hol = holevo_bound(budget.v, t, budget.channel_noise, budget.detector_noise,
-                       budget.total_noise)
-    rate, has_key = secure_key_rate(efficiency, mutual, hol.chi)
+    efficiency, t = _point_args(config, efficiency, transmittance, length_km)
+    c = _chain(config, efficiency, np.float64(config.alice_attenuation),
+               np.float64(t))
+    hol = _holevo_result(c.chi, c.lambdas, c.abcd)
+    rate = float(c.rate)
     return KeyRateResult(
         rate=rate,
-        has_key=has_key,
-        mutual_info=mutual,
+        has_key=rate > 0.0,
+        mutual_info=float(c.mutual),
         holevo_info=hol.chi,
         efficiency=efficiency,
         transmittance=t,
         alice_attenuation=config.alice_attenuation,
-        budget=budget,
+        budget=_float_budget(c.budget),
         eigenvalues=hol.eigenvalues,
         intermediates=hol.intermediates,
         length_km=length_km,
     )
+
+
+def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
+    """Rate-maximising attenuator transmittance for each element of ``t``.
+
+    Returns the arrays (eta0, rate). All transmittances are searched
+    together: the rate on a coarse log grid over ``bounds`` for every
+    element in one pass, then a golden-section search on log(eta0) over
+    the two grid cells around each coarse optimum. A refined point
+    replaces the coarse optimum only if it beats it by more than the
+    rounding noise of the rate, so a boundary optimum comes back as the
+    exact bound.
+    """
+    lo, hi = bounds
+    t = np.asarray(t, dtype=float)[:, None]
+    grid = np.geomspace(lo, hi, _COARSE_POINTS)
+    coarse = _chain(config, efficiency, grid, t)
+    best = np.argmax(coarse.rate, axis=1)
+    rows = np.arange(len(best))
+    e_best, r_best = grid[best], coarse.rate[rows, best]
+    # Each eigenvalue carries about one ulp of absolute rounding error,
+    # which G((lam - 1)/2) scales by log2((lam + 1)/(lam - 1))/2; twice the
+    # sum bounds the noise of a difference of two rates.
+    ulp = np.finfo(float).eps
+    lam = coarse.lambdas[:, rows, best]
+    noise = ulp * np.sum(lam * np.log2((lam + 1.0) / np.maximum(lam - 1.0, ulp)),
+                         axis=0)
+    # The bracket ends are coarse points too, and already lost to grid[best].
+    a = np.log(grid[np.maximum(best - 1, 0)])[:, None]
+    b = np.log(grid[np.minimum(best + 1, _COARSE_POINTS - 1)])[:, None]
+
+    def eta0(u):
+        return np.clip(np.exp(u), lo, hi)
+
+    def rate(u):
+        return _chain(config, efficiency, eta0(u), t).rate
+
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = rate(c), rate(d)
+    for _ in range(_GOLDEN_STEPS):
+        left = fc >= fd  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        u = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        fu = rate(u)
+        c, d, fc, fd = (np.where(left, u, d), np.where(left, c, u),
+                        np.where(left, fu, fd), np.where(left, fc, fu))
+    take_c = fc >= fd
+    e_ref = eta0(np.where(take_c, c, d))[:, 0]
+    r_ref = np.where(take_c, fc, fd)[:, 0]
+    refined = r_ref > r_best + noise
+    return np.where(refined, e_ref, e_best), np.where(refined, r_ref, r_best)
 
 
 def optimize_attenuation(config, *, efficiency=0.95, transmittance=None,
@@ -400,36 +518,21 @@ def optimize_attenuation(config, *, efficiency=0.95, transmittance=None,
     """Key rate with the attenuator transmittance optimised.
 
     Deterministic two-stage search on a log scale: a fixed coarse grid
-    over ``bounds`` locates the basin, then a bounded scalar
-    minimisation refines within the bracketing interval. The best of
-    the refined point, the coarse optimum, and the interval endpoints
-    is returned, so a boundary optimum is handled exactly.
+    over ``bounds`` locates the basin, then a golden-section search
+    refines within the two grid cells around it. The refined point is
+    kept only if it beats the coarse optimum by more than rounding
+    noise, so a boundary optimum is returned as the exact bound.
     """
     lo, hi = bounds
     violations = []
-    _require(_finite(lo) and _finite(hi) and 0.0 < lo < hi <= 1.0,
+    _require(is_real(lo) and is_real(hi) and 0.0 < lo < hi <= 1.0,
              f"bounds must satisfy 0 < lo < hi <= 1, got {bounds!r}", violations)
-    if violations:
-        raise ParameterError(violations)
-
-    def rate_at(e0):
-        return key_rate_point(config.replace(alice_attenuation=e0),
-                              efficiency=efficiency, transmittance=transmittance,
-                              length_km=length_km)
-
-    grid = np.geomspace(lo, hi, _COARSE_POINTS)
-    coarse = [rate_at(float(e0)) for e0 in grid]
-    best_i = max(range(len(grid)), key=lambda i: coarse[i].rate)
-    left = math.log(float(grid[max(best_i - 1, 0)]))
-    right = math.log(float(grid[min(best_i + 1, len(grid) - 1)]))
-
-    res = _sciopt.minimize_scalar(
-        lambda u: -rate_at(math.exp(u)).rate,
-        bounds=(left, right), method="bounded",
-        options={"xatol": 1e-12, "maxiter": 200})
-    candidates = [coarse[best_i], rate_at(math.exp(float(res.x))),
-                  rate_at(math.exp(left)), rate_at(math.exp(right))]
-    return max(candidates, key=lambda r: r.rate)
+    raise_violations(violations)
+    f, t = _point_args(config, efficiency, transmittance, length_km)
+    e0, _ = _best_attenuation(config, f, [t], (float(lo), float(hi)))
+    return key_rate_point(config.replace(alice_attenuation=float(e0[0])),
+                          efficiency=efficiency, transmittance=transmittance,
+                          length_km=length_km)
 
 
 def key_rate_from_measurement(estimate, config, path_transmittance, *,
@@ -453,44 +556,28 @@ def key_rate_from_measurement(estimate, config, path_transmittance, *,
         (model-correlation) prediction at the same path transmittance.
     """
     violations = []
-    _require(_finite(path_transmittance) and 0.0 < path_transmittance <= 1.0,
-             f"path_transmittance must lie in (0, 1], got {path_transmittance!r}",
-             violations)
-    if violations:
-        raise ParameterError(violations)
+    path_t = check_fraction(path_transmittance, "path_transmittance", violations)
+    f = check_fraction(efficiency, "efficiency", violations)
+    raise_violations(violations)
     declared = config.path_transmittance
-    if abs(declared - path_transmittance) > 1e-9 * max(declared, path_transmittance):
+    if abs(declared - path_t) > 1e-9 * max(declared, path_t):
         raise ParameterError(
             [f"declared split eta0*T = {declared!r} does not match the measured "
              f"path transmittance {path_transmittance!r}"])
 
-    t = config.channel.transmittance
-    budget = noise_budget(config)
-    hol = holevo_bound(budget.v, t, budget.channel_noise, budget.detector_noise,
-                       budget.total_noise)
+    model = key_rate_point(config, efficiency=f)
+    chi = model.holevo_info
     mi = empirical_mutual_info(estimate)
-    rate, has_key = secure_key_rate(efficiency, mi.bits, hol.chi)
-    rate_lower = efficiency * mi.lower - hol.chi
-    rate_upper = efficiency * mi.upper - hol.chi
+    rate, has_key = secure_key_rate(f, mi.bits, chi)
+    rate_lower = f * mi.lower - chi
+    rate_upper = f * mi.upper - chi
 
     pred_corr = correlation_coefficient(
         config.source.mean_photon_number, config.source.mode_overlap,
-        config.alice_detector.x, config.bob_detector.x, path_transmittance)
-    pred_rate = (efficiency * mutual_information_from_correlation(pred_corr)
-                 - hol.chi)
+        config.alice_detector.x, config.bob_detector.x, path_t)
+    pred_rate = f * mutual_information_from_correlation(pred_corr) - chi
 
-    central = KeyRateResult(
-        rate=rate,
-        has_key=has_key,
-        mutual_info=mi.bits,
-        holevo_info=hol.chi,
-        efficiency=efficiency,
-        transmittance=t,
-        alice_attenuation=config.alice_attenuation,
-        budget=budget,
-        eigenvalues=hol.eigenvalues,
-        intermediates=hol.intermediates,
-    )
+    central = replace(model, rate=rate, has_key=has_key, mutual_info=mi.bits)
     return MeasuredKeyRate(
         result=central,
         rate_lower=rate_lower,
@@ -502,40 +589,41 @@ def key_rate_from_measurement(estimate, config, path_transmittance, *,
 
 def distance_cutoff(config, *, efficiency=0.95, attenuation_db_per_km=0.2,
                     lo_km=0.0, hi_km=200.0, optimize=True, xtol_km=1e-3):
-    """Locate the distance where the key rate crosses zero, by bisection.
+    """Locate the distance where the key rate crosses zero.
 
     With ``optimize`` the attenuator is re-optimised at every probed
     distance (the preparation that maximises the rate there); otherwise
     the config's attenuation is used as-is. Requires a sign change over
-    [lo_km, hi_km].
+    [lo_km, hi_km]. Each round evaluates evenly spaced distances across
+    the bracket in one vectorised pass and keeps the cell holding the
+    first sign change, until the bracket is at most ``xtol_km`` wide.
     """
     violations = []
-    _require(_finite(lo_km) and _finite(hi_km) and 0.0 <= lo_km < hi_km,
+    _require(is_real(lo_km) and is_real(hi_km) and 0.0 <= lo_km < hi_km,
              f"need 0 <= lo_km < hi_km, got ({lo_km!r}, {hi_km!r})", violations)
-    _require(_finite(xtol_km) and xtol_km > 0.0,
+    _require(is_real(xtol_km) and xtol_km > 0.0,
              f"xtol_km must be > 0, got {xtol_km!r}", violations)
-    if violations:
-        raise ParameterError(violations)
+    f = check_fraction(efficiency, "efficiency", violations)
+    raise_violations(violations)
 
-    def rate(length):
-        t = transmittance_from_length(length, attenuation_db_per_km)
+    def rates(lengths):
+        t = np.array([transmittance_from_length(x, attenuation_db_per_km)
+                      for x in lengths])
         if optimize:
-            return optimize_attenuation(config, efficiency=efficiency,
-                                        transmittance=t, length_km=length).rate
-        return key_rate_point(config, efficiency=efficiency, transmittance=t,
-                              length_km=length).rate
+            return _best_attenuation(config, f, t)[1]
+        return _chain(config, f, config.alice_attenuation, t).rate
 
-    r_lo = rate(lo_km)
-    r_hi = rate(hi_km)
-    if not (r_lo > 0.0 > r_hi):
+    edges = np.linspace(lo_km, hi_km, _CUTOFF_PROBES + 2)
+    r = rates(edges)
+    if not (r[0] > 0.0 > r[-1]):
         raise ModelInconsistencyError(
             f"no zero crossing bracketed on [{lo_km}, {hi_km}] km: "
-            f"R({lo_km}) = {r_lo!r}, R({hi_km}) = {r_hi!r}")
-    lo, hi = lo_km, hi_km
-    while hi - lo > xtol_km:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            f"R({lo_km}) = {float(r[0])!r}, R({hi_km}) = {float(r[-1])!r}")
+    while True:
+        j = int(np.argmax(r <= 0.0))  # the first keyless edge; r[0] > 0
+        cell = (float(edges[j - 1]), float(edges[j]))
+        # Stop at xtol_km, or once floats cannot split the bracket further.
+        if cell[1] - cell[0] <= xtol_km or cell == (edges[0], edges[-1]):
+            return 0.5 * (cell[0] + cell[1])
+        edges = np.linspace(*cell, _CUTOFF_PROBES + 2)
+        r = np.concatenate(([r[j - 1]], rates(edges[1:-1]), [r[j]]))

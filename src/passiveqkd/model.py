@@ -35,7 +35,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ModelInconsistencyError, ParameterError
+from .errors import (
+    ModelInconsistencyError,
+    check_fraction,
+    check_nonneg,
+    is_real,
+    raise_violations,
+)
 
 __all__ = [
     "DetectorChannel",
@@ -47,6 +53,8 @@ __all__ = [
     "AttackVariances",
     "thermal_quadrature_variance",
     "modulation_variance",
+    "outgoing_quadrature_variance",
+    "tap_quadrature_variance",
     "optimal_estimator_gain",
     "preparation_excess_noise",
     "conditional_uncertainty",
@@ -62,21 +70,11 @@ __all__ = [
 _CORR_LIMIT = 1.0 - 1e-15
 
 
-def _fail(violations):
-    if violations:
-        raise ParameterError(violations)
-
-
-def _check_fraction(value, name, violations, *, allow_zero=False):
-    lo_ok = value > 0 or (allow_zero and value == 0)
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and lo_ok and value <= 1):
-        low = "0 <= " if allow_zero else "0 < "
-        violations.append(f"{name} must satisfy {low}{name} <= 1, got {value!r}")
-
-
-def _check_nonneg(value, name, violations):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-        violations.append(f"{name} must be finite and >= 0, got {value!r}")
+def _store_floats(obj, *names):
+    """Keep the named, already checked fields of a frozen dataclass as floats."""
+    for name in names:
+        if getattr(obj, name) is not None:
+            object.__setattr__(obj, name, float(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,10 @@ class DetectorChannel:
 
     def __post_init__(self):
         violations = []
-        _check_fraction(self.efficiency, "efficiency", violations)
-        _check_nonneg(self.noise_variance, "noise_variance", violations)
-        _fail(violations)
+        check_fraction(self.efficiency, "efficiency", violations)
+        check_nonneg(self.noise_variance, "noise_variance", violations)
+        raise_violations(violations)
+        _store_floats(self, "efficiency", "noise_variance")
 
 
 @dataclass(frozen=True)
@@ -127,9 +126,10 @@ class SourceParams:
 
     def __post_init__(self):
         violations = []
-        _check_nonneg(self.mean_photon_number, "mean_photon_number", violations)
-        _check_fraction(self.mode_overlap, "mode_overlap", violations, allow_zero=True)
-        _fail(violations)
+        check_nonneg(self.mean_photon_number, "mean_photon_number", violations)
+        check_fraction(self.mode_overlap, "mode_overlap", violations, allow_zero=True)
+        raise_violations(violations)
+        _store_floats(self, "mean_photon_number", "mode_overlap")
 
     @property
     def orthogonal_weight(self):
@@ -152,23 +152,23 @@ class ChannelParams:
 
     def __post_init__(self):
         violations = []
-        _check_fraction(self.transmittance, "transmittance", violations)
+        check_fraction(self.transmittance, "transmittance", violations)
         if self.length_km is not None:
-            _check_nonneg(self.length_km, "length_km", violations)
+            check_nonneg(self.length_km, "length_km", violations)
         if self.attenuation_db_per_km is not None:
-            _check_nonneg(self.attenuation_db_per_km, "attenuation_db_per_km", violations)
-        _fail(violations)
+            check_nonneg(self.attenuation_db_per_km, "attenuation_db_per_km", violations)
+        raise_violations(violations)
+        _store_floats(self, "transmittance", "length_km", "attenuation_db_per_km")
 
     @classmethod
     def from_fiber(cls, length_km, attenuation_db_per_km=0.2):
         """Build a fibre channel with T = 10^(-gamma*L/10)."""
         violations = []
-        _check_nonneg(length_km, "length_km", violations)
-        _check_nonneg(attenuation_db_per_km, "attenuation_db_per_km", violations)
-        _fail(violations)
-        t = 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
-        return cls(transmittance=t, length_km=length_km,
-                   attenuation_db_per_km=attenuation_db_per_km)
+        length = check_nonneg(length_km, "length_km", violations)
+        gamma = check_nonneg(attenuation_db_per_km, "attenuation_db_per_km", violations)
+        raise_violations(violations)
+        return cls(transmittance=10.0 ** (-gamma * length / 10.0), length_km=length,
+                   attenuation_db_per_km=gamma)
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,9 @@ class SystemConfig:
 
     def __post_init__(self):
         violations = []
-        _check_fraction(self.alice_attenuation, "alice_attenuation", violations)
-        _fail(violations)
+        check_fraction(self.alice_attenuation, "alice_attenuation", violations)
+        raise_violations(violations)
+        _store_floats(self, "alice_attenuation")
 
     @property
     def path_transmittance(self):
@@ -223,9 +224,9 @@ class AttackVariances(NamedTuple):
 def thermal_quadrature_variance(mean_photon_number):
     """Quadrature variance 2*n0 + 1 of a thermal mode, in shot-noise units."""
     violations = []
-    _check_nonneg(mean_photon_number, "mean_photon_number", violations)
-    _fail(violations)
-    return 2.0 * mean_photon_number + 1.0
+    n0 = check_nonneg(mean_photon_number, "mean_photon_number", violations)
+    raise_violations(violations)
+    return 2.0 * n0 + 1.0
 
 
 def modulation_variance(alice_attenuation, mean_photon_number):
@@ -236,10 +237,26 @@ def modulation_variance(alice_attenuation, mean_photon_number):
     the modulation variance of an actively modulated protocol.
     """
     violations = []
-    _check_fraction(alice_attenuation, "alice_attenuation", violations)
-    _check_nonneg(mean_photon_number, "mean_photon_number", violations)
-    _fail(violations)
-    return alice_attenuation * mean_photon_number
+    e0 = check_fraction(alice_attenuation, "alice_attenuation", violations)
+    n0 = check_nonneg(mean_photon_number, "mean_photon_number", violations)
+    raise_violations(violations)
+    return e0 * n0
+
+
+def outgoing_quadrature_variance(alice_attenuation, mean_photon_number):
+    """Quadrature variance V_A + 1 = eta0 * n0 + 1 of the outgoing mode at
+    the attenuator output."""
+    return modulation_variance(alice_attenuation, mean_photon_number) + 1.0
+
+
+def tap_quadrature_variance(alice_attenuation, mean_photon_number, transmittance):
+    """Quadrature variance V_A * (1 - T) / 2 + 1 of the eavesdropper's ideal
+    conjugate reading of the channel's tapped port."""
+    violations = []
+    t = check_fraction(transmittance, "transmittance", violations)
+    raise_violations(violations)
+    v = modulation_variance(alice_attenuation, mean_photon_number)
+    return v * (1.0 - t) / 2.0 + 1.0
 
 
 def optimal_estimator_gain(mean_photon_number, mode_overlap, alice_attenuation,
@@ -255,14 +272,13 @@ def optimal_estimator_gain(mean_photon_number, mode_overlap, alice_attenuation,
     with detector efficiency eta and noise variance nu.
     """
     violations = []
-    _check_nonneg(mean_photon_number, "mean_photon_number", violations)
-    _check_fraction(mode_overlap, "mode_overlap", violations, allow_zero=True)
-    _check_fraction(alice_attenuation, "alice_attenuation", violations)
-    _fail(violations)
+    n0 = check_nonneg(mean_photon_number, "mean_photon_number", violations)
+    a = check_fraction(mode_overlap, "mode_overlap", violations, allow_zero=True)
+    e0 = check_fraction(alice_attenuation, "alice_attenuation", violations)
+    raise_violations(violations)
     eta = alice_channel.efficiency
     nu = alice_channel.noise_variance
-    n0 = mean_photon_number
-    return n0 * mode_overlap * math.sqrt(2.0 * alice_attenuation * eta) / (
+    return n0 * a * math.sqrt(2.0 * e0 * eta) / (
         n0 * eta + 2.0 * nu + 2.0)
 
 
@@ -281,15 +297,17 @@ def preparation_excess_noise(modulation_var, alice_attenuation, alice_channel,
     approaches the floor V_A*(1-a^2).
     """
     violations = []
-    _check_nonneg(modulation_var, "modulation_var", violations)
-    _check_fraction(alice_attenuation, "alice_attenuation", violations)
-    _check_fraction(mode_overlap, "mode_overlap", violations, allow_zero=True)
-    _fail(violations)
-    eta = alice_channel.efficiency
-    nu = alice_channel.noise_variance
-    v = modulation_var
-    num = 2.0 * v * alice_attenuation * (nu + 1.0) + v * v * eta * (1.0 - mode_overlap**2)
-    den = v * eta + 2.0 * alice_attenuation * (nu + 1.0)
+    v = check_nonneg(modulation_var, "modulation_var", violations)
+    e0 = check_fraction(alice_attenuation, "alice_attenuation", violations)
+    a = check_fraction(mode_overlap, "mode_overlap", violations, allow_zero=True)
+    raise_violations(violations)
+    return _excess_noise(v, e0, alice_channel.efficiency, alice_channel.noise_variance, a)
+
+
+def _excess_noise(v, e0, eta, nu, a):
+    """``preparation_excess_noise`` without checks; broadcasts over arrays."""
+    num = 2.0 * v * e0 * (nu + 1.0) + v * v * eta * (1.0 - a**2)
+    den = v * eta + 2.0 * e0 * (nu + 1.0)
     return num / den
 
 
@@ -322,18 +340,17 @@ def quadrature_second_moments(mean_photon_number, alice_channel, bob_channel,
         where eta_b' = path_transmittance * eta_b.
     """
     violations = []
-    _check_nonneg(mean_photon_number, "mean_photon_number", violations)
-    _check_fraction(mode_overlap, "mode_overlap", violations, allow_zero=True)
-    _check_fraction(path_transmittance, "path_transmittance", violations)
-    _fail(violations)
-    n0 = mean_photon_number
+    n0 = check_nonneg(mean_photon_number, "mean_photon_number", violations)
+    a = check_fraction(mode_overlap, "mode_overlap", violations, allow_zero=True)
+    eta_path = check_fraction(path_transmittance, "path_transmittance", violations)
+    raise_violations(violations)
     eta_a = alice_channel.efficiency
     nu_a = alice_channel.noise_variance
-    eta_b = path_transmittance * bob_channel.efficiency
+    eta_b = eta_path * bob_channel.efficiency
     nu_b = bob_channel.noise_variance
     alice_var = eta_a * n0 / 2.0 + nu_a + 1.0
     bob_var = eta_b * n0 / 2.0 + nu_b + 1.0
-    cross = math.sqrt(eta_a * eta_b) * n0 * mode_overlap / 2.0
+    cross = math.sqrt(eta_a * eta_b) * n0 * a / 2.0
     return SecondMoments(alice_var, bob_var, cross)
 
 
@@ -368,13 +385,10 @@ def beamsplit_attack_variances(modulation_var, alice_attenuation, transmittance,
             eavesdropper's ideal measurement of the tapped mode.
     """
     violations = []
-    _check_nonneg(modulation_var, "modulation_var", violations)
-    _check_fraction(alice_attenuation, "alice_attenuation", violations)
-    _check_fraction(transmittance, "transmittance", violations)
-    _fail(violations)
-    v = modulation_var
-    e0 = alice_attenuation
-    t = transmittance
+    v = check_nonneg(modulation_var, "modulation_var", violations)
+    e0 = check_fraction(alice_attenuation, "alice_attenuation", violations)
+    t = check_fraction(transmittance, "transmittance", violations)
+    raise_violations(violations)
     eta_a = alice_channel.efficiency
     nu_a = alice_channel.noise_variance
     eta_b = bob_channel.efficiency
@@ -390,29 +404,27 @@ def mutual_information_from_variances(total_variance, conditional_variance):
     """Mutual information log2(total/conditional) of jointly Gaussian data,
     in bits per channel use."""
     violations = []
-    if not (isinstance(total_variance, (int, float)) and math.isfinite(total_variance)
-            and total_variance > 0):
+    if not (is_real(total_variance) and total_variance > 0):
         violations.append(f"total_variance must be finite and > 0, got {total_variance!r}")
-    if not (isinstance(conditional_variance, (int, float))
-            and math.isfinite(conditional_variance) and conditional_variance > 0):
+    if not (is_real(conditional_variance) and conditional_variance > 0):
         violations.append(
             f"conditional_variance must be finite and > 0, got {conditional_variance!r}")
-    _fail(violations)
+    raise_violations(violations)
     if conditional_variance > total_variance:
         raise ModelInconsistencyError(
             f"conditional variance {conditional_variance!r} exceeds total "
             f"variance {total_variance!r}; mutual information would be negative")
-    return math.log2(total_variance / conditional_variance)
+    return math.log2(float(total_variance) / float(conditional_variance))
 
 
 def mutual_information_from_correlation(corr):
     """Mutual information log2(1/(1-corr^2)) of a bivariate Gaussian pair,
     in bits per channel use."""
     violations = []
-    if not (isinstance(corr, (int, float)) and math.isfinite(corr)
-            and abs(corr) <= _CORR_LIMIT):
+    if not (is_real(corr) and abs(corr) <= _CORR_LIMIT):
         violations.append(f"corr must satisfy |corr| < 1, got {corr!r}")
-    _fail(violations)
+    raise_violations(violations)
+    corr = float(corr)
     # -log1p(-r^2)/ln 2 keeps precision for small correlations.
     return -math.log1p(-corr * corr) / math.log(2.0)
 
@@ -426,10 +438,10 @@ def attenuation_security_threshold(transmittance, alice_channel):
     attack exists and the threshold is infinite (``math.inf``).
     """
     violations = []
-    _check_fraction(transmittance, "transmittance", violations)
-    _fail(violations)
-    if transmittance == 1.0:
+    t = check_fraction(transmittance, "transmittance", violations)
+    raise_violations(violations)
+    if t == 1.0:
         return math.inf
     eta = alice_channel.efficiency
     nu = alice_channel.noise_variance
-    return eta / ((nu + 1.0) * (1.0 - transmittance))
+    return eta / ((nu + 1.0) * (1.0 - t))

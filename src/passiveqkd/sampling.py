@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BatchSizeError, ParameterError
+from .errors import BatchSizeError, ParameterError, is_integer, is_real
 from .model import SystemConfig
 
 __all__ = [
@@ -77,14 +77,16 @@ class RunSpec:
 
     def __post_init__(self):
         violations = []
-        if not (isinstance(self.n_samples, int) and self.n_samples >= 1):
+        if not (is_integer(self.n_samples) and self.n_samples >= 1):
             violations.append(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
             violations.append(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if not (isinstance(self.n_blocks, int) and self.n_blocks >= 1):
+        if not (is_integer(self.n_blocks) and self.n_blocks >= 1):
             violations.append(f"n_blocks must be an integer >= 1, got {self.n_blocks!r}")
         if violations:
             raise ParameterError(violations)
+        for name in ("n_samples", "seed", "n_blocks"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +139,12 @@ def thermal_quadratures(rng, mean_photon_number, size):
     independent draws.
     """
     violations = []
-    if not (isinstance(mean_photon_number, (int, float))
-            and math.isfinite(mean_photon_number) and mean_photon_number >= 0):
+    if not (is_real(mean_photon_number) and mean_photon_number >= 0):
         violations.append(
             f"mean_photon_number must be finite and >= 0, got {mean_photon_number!r}")
     if violations:
         raise ParameterError(violations)
-    scale = math.sqrt(2.0 * mean_photon_number + 1.0)
+    scale = math.sqrt(2.0 * float(mean_photon_number) + 1.0)
     return scale * rng.standard_normal(size)
 
 
@@ -250,7 +251,7 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *, n_workers=1,
         raise ParameterError([f"config must be a SystemConfig, got {type(config).__name__}"])
     if not isinstance(run, RunSpec):
         raise ParameterError([f"run must be a RunSpec, got {type(run).__name__}"])
-    if not (isinstance(n_workers, int) and n_workers >= 1):
+    if not (is_integer(n_workers) and n_workers >= 1):
         raise ParameterError([f"n_workers must be an integer >= 1, got {n_workers!r}"])
 
     n = run.n_samples
@@ -299,7 +300,7 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *, n_workers=1,
 def empirical_conditional_variance(batch, gain):
     """Sample variance of (x1 - gain * x2): the residual uncertainty of
     Alice's scaled estimate of the outgoing quadrature."""
-    if not (isinstance(gain, (int, float)) and math.isfinite(gain)):
+    if not is_real(gain):
         raise ParameterError([f"gain must be a finite number, got {gain!r}"])
     if batch.n_samples == 0:
         raise ParameterError(["batch is empty"])

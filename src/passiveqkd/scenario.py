@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParameterError
+from .errors import ParameterError, is_integer, is_real
 from .model import (
     ChannelParams,
     ConjugateDetector,
@@ -55,14 +55,14 @@ DEFAULT_LENGTH_KM_GRID = tuple(float(5 * k) for k in range(25))
 
 def linear_from_db(db):
     """Convert a dB attenuation/transmittance value to linear: 10^(db/10)."""
-    if not (isinstance(db, (int, float)) and math.isfinite(db)):
+    if not is_real(db):
         raise ParameterError([f"dB value must be a finite number, got {db!r}"])
-    return 10.0 ** (db / 10.0)
+    return 10.0 ** (float(db) / 10.0)
 
 
 def db_from_linear(value):
     """Convert a linear transmittance to dB: 10 * log10(value)."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    if not (is_real(value) and value > 0):
         raise ParameterError([f"linear value must be > 0, got {value!r}"])
     return 10.0 * math.log10(value)
 
@@ -173,8 +173,7 @@ def _number(node, key, where, violations, *, required=True, default=None,
             violations.append(f"{where}.{key} is required")
         return default
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    if not is_real(value):
         violations.append(f"{where}.{key} must be a finite number, got {value!r}")
         return default
     if minimum is not None and (value <= minimum if exclusive_min else value < minimum):
@@ -193,7 +192,7 @@ def _integer(node, key, where, violations, *, required=True, default=None, minim
             violations.append(f"{where}.{key} is required")
         return default
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         violations.append(f"{where}.{key} must be an integer, got {value!r}")
         return default
     if value < minimum:
@@ -370,8 +369,7 @@ def _parse_sweep(node, violations):
         return None
     cleaned = []
     for i, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
+        if not is_real(value):
             violations.append(f"{where}.values[{i}] must be a finite number, got {value!r}")
             continue
         cleaned.append(float(value))

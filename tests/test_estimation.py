@@ -84,6 +84,14 @@ def test_corr_estimate_validation():
                         n_dropped=-1)
 
 
+def test_numpy_scalar_inputs():
+    est = pq.CorrEstimate(np.float32(0.5), np.float64(0.01), np.int64(10), np.int32(100))
+    assert est.n_blocks == 10
+    rng = np.random.default_rng(5)
+    x, y = _bivariate(rng, 0.5, 1000)
+    assert pq.blocked_correlation(x, y, np.int64(10)) == pq.blocked_correlation(x, y, 10)
+
+
 def test_block_std_scaling():
     """Doubling the sample count at fixed blocks shrinks the block
     standard deviation by about sqrt(2)."""

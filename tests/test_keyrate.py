@@ -7,6 +7,9 @@ implementations in ``oracles``.
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ import pytest
 import passiveqkd as pq
 
 import oracles
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +300,13 @@ def test_distance_cutoff_fixed_split(link_config):
     assert before.rate > 0.0 > after.rate
 
 
+def test_distance_cutoff_ends_below_float_resolution(link_config):
+    """An xtol_km finer than the float spacing of the bracket still ends."""
+    coarse = pq.distance_cutoff(link_config, optimize=False, hi_km=150.0, xtol_km=0.01)
+    fine = pq.distance_cutoff(link_config, optimize=False, hi_km=150.0, xtol_km=1e-300)
+    assert abs(fine - coarse) <= 0.01
+
+
 def test_distance_cutoff_requires_bracket(link_config):
     with pytest.raises(pq.ModelInconsistencyError):
         pq.distance_cutoff(link_config, optimize=False, lo_km=0.0, hi_km=5.0)
@@ -304,3 +316,79 @@ def test_distance_cutoff_requires_bracket(link_config):
 
 def test_attenuation_bounds_constant():
     assert pq.ATTENUATION_BOUNDS == (1e-8, 1.0)
+
+
+@pytest.fixture(scope="module")
+def paper_curve():
+    """The shipped distance-curve scenario: (config, efficiency, transmittances)."""
+    scenario = pq.load_scenario(SCENARIOS / "keyrate_vs_distance.json")
+    gamma = scenario.keyrate.attenuation_db_per_km
+    ts = [pq.transmittance_from_length(x, gamma) for x in scenario.sweep.values]
+    return scenario.system_config(alice_attenuation=1.0), scenario.efficiency, ts
+
+
+def _close(got, want, tol=1e-12):
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+def test_array_core_matches_key_rate_point(paper_curve):
+    """One vectorised pass over the distances x coarse eta0 grid agrees
+    with the scalar entry point at every one of its points."""
+    config, efficiency, ts = paper_curve
+    grid = np.geomspace(*pq.ATTENUATION_BOUNDS, 241)
+    core = pq.keyrate._chain(config, efficiency, grid, np.array(ts)[:, None])
+    eps = np.broadcast_to(core.budget.prep_excess_noise, core.rate.shape)
+    for i, t in enumerate(ts):
+        for j, e0 in enumerate(grid):
+            res = pq.key_rate_point(config.replace(alice_attenuation=float(e0)),
+                                    efficiency=efficiency, transmittance=t)
+            assert _close(core.rate[i, j], res.rate)
+            assert _close(core.mutual[i, j], res.mutual_info)
+            assert _close(core.chi[i, j], res.holevo_info)
+            assert _close(eps[i, j], res.budget.prep_excess_noise)
+            for k in range(4):
+                assert _close(core.lambdas[k, i, j], res.eigenvalues[k])
+
+
+def test_curve_optimum_matches_single_distance_search(paper_curve):
+    """The whole-curve search returns, per distance, an eta0 inside the
+    search window and the rate optimize_attenuation finds there alone."""
+    config, efficiency, ts = paper_curve
+    lo, hi = pq.ATTENUATION_BOUNDS
+    eta0, rate = pq.keyrate._best_attenuation(config, efficiency, ts)
+    assert np.all((lo <= eta0) & (eta0 <= hi))
+    for t, e0, r in zip(ts, eta0, rate):
+        single = pq.optimize_attenuation(config, efficiency=efficiency, transmittance=t)
+        assert _close(single.rate, r)
+        assert single.alice_attenuation == pytest.approx(e0, rel=1e-6)
+    # A source too weak for any key pins every distance at the lower bound.
+    weak = config.replace(source=pq.SourceParams(1.0, 1.0))
+    eta0, rate = pq.keyrate._best_attenuation(weak, efficiency, ts)
+    assert np.all(eta0 == lo) and np.all(rate < 0.0)
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, passiveqkd, passiveqkd.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_scalar_inputs(link_config):
+    """Numpy integers and floats of any width are taken as the Python
+    numbers they equal; bools are still rejected."""
+    assert pq.transmittance_from_length(np.int64(40)) == pq.transmittance_from_length(40)
+    length = np.float32(40.3)
+    assert (pq.transmittance_from_length(length)
+            == pq.transmittance_from_length(float(length)))
+    t = np.float32(0.25)
+    via_numpy = pq.key_rate_point(link_config, transmittance=t,
+                                  efficiency=np.float32(0.95))
+    via_float = pq.key_rate_point(link_config, transmittance=float(t),
+                                  efficiency=float(np.float32(0.95)))
+    assert via_numpy == via_float
+    assert pq.bosonic_entropy(np.float32(3.7)) == pq.bosonic_entropy(
+        float(np.float32(3.7)))
+    with pytest.raises(pq.ParameterError):
+        pq.transmittance_from_length(True)

@@ -8,6 +8,7 @@ precision.
 import math
 import random
 
+import numpy as np
 import pytest
 
 import passiveqkd as pq
@@ -288,3 +289,36 @@ def test_system_config_helpers(bench_config):
     assert moved.source is bench_config.source
     with pytest.raises(pq.ParameterError):
         bench_config.replace(alice_attenuation=0.0)
+
+
+def test_outgoing_and_tap_variances_closed_forms():
+    rng = random.Random(17)
+    for _ in range(50):
+        e0, n0 = rng.uniform(1e-6, 1.0), rng.uniform(0.0, 2000.0)
+        t = rng.uniform(0.01, 1.0)
+        assert pq.outgoing_quadrature_variance(e0, n0) == e0 * n0 + 1.0
+        assert pq.tap_quadrature_variance(e0, n0, t) == e0 * n0 * (1.0 - t) / 2.0 + 1.0
+    assert pq.tap_quadrature_variance(0.5, 900.0, 1.0) == 1.0
+    with pytest.raises(pq.ParameterError):
+        pq.outgoing_quadrature_variance(0.0, 900.0)
+    with pytest.raises(pq.ParameterError):
+        pq.tap_quadrature_variance(0.5, 900.0, 0.0)
+
+
+def test_numpy_scalar_inputs(alice_x, bob_x):
+    """Numpy scalars are accepted and computed with as the Python numbers
+    they equal; bools are rejected."""
+    eff = np.float32(0.43)
+    channel = pq.DetectorChannel(eff, np.float64(0.17))
+    assert type(channel.efficiency) is float and channel.efficiency == float(eff)
+    assert pq.SourceParams(np.int64(900), np.float32(0.96)).mean_photon_number == 900.0
+    assert pq.ChannelParams.from_fiber(np.int64(40)) == pq.ChannelParams.from_fiber(40)
+    assert pq.modulation_variance(np.float32(0.5), np.int64(900)) == 450.0
+    n0 = np.float32(880.3)
+    assert pq.correlation_coefficient(n0, 0.96, alice_x, bob_x, 0.1) == \
+        pq.correlation_coefficient(float(n0), 0.96, alice_x, bob_x, 0.1)
+    corr = np.float32(0.3)
+    assert pq.mutual_information_from_correlation(corr) == \
+        pq.mutual_information_from_correlation(float(corr))
+    with pytest.raises(pq.ParameterError):
+        pq.DetectorChannel(True, 0.1)

@@ -152,6 +152,16 @@ def test_run_spec_validation():
         pq.RunSpec(n_samples=10, seed=1, n_blocks=0)
 
 
+def test_run_spec_numpy_integers(small_config):
+    run = pq.RunSpec(n_samples=np.int64(10), seed=np.uint64(3), n_blocks=np.int32(2))
+    assert run == pq.RunSpec(n_samples=10, seed=3, n_blocks=2)
+    assert all(type(v) is int for v in (run.n_samples, run.seed, run.n_blocks))
+    np.testing.assert_array_equal(pq.simulate_batch(small_config, run).x3,
+                                  pq.simulate_batch(small_config, pq.RunSpec(10, 3)).x3)
+    with pytest.raises(pq.ParameterError):
+        pq.RunSpec(n_samples=10, seed=True)
+
+
 def test_batch_size_precheck(small_config):
     run = pq.RunSpec(n_samples=10_000, seed=1, n_blocks=10)
     with pytest.raises(pq.BatchSizeError):

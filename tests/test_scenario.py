@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import passiveqkd as pq
@@ -294,3 +295,12 @@ def test_default_grids():
     assert pq.DEFAULT_LENGTH_KM_GRID[0] == 0.0
     assert pq.DEFAULT_LENGTH_KM_GRID[-1] == 120.0
     assert len(pq.DEFAULT_LENGTH_KM_GRID) == 25
+
+
+def test_numpy_scalars_and_bools():
+    assert pq.linear_from_db(np.int64(-3)) == pq.linear_from_db(-3)
+    assert pq.db_from_linear(np.float32(0.5)) == pq.db_from_linear(0.5)
+    doc = full_document()
+    doc["system"]["source"]["mean_photon_number"] = True
+    with pytest.raises(pq.ParameterError, match="mean_photon_number"):
+        pq.parse_scenario(doc)
