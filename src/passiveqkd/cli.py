@@ -10,8 +10,8 @@ Five subcommands cover the reproduction workflow:
   key-rate points when the scenario lists them.
 
 Every command is a pure function of (scenario file, seed): outputs are
-byte-identical across re-runs and worker counts. Only CSV is emitted;
-plotting is left to the caller.
+byte-identical across re-runs and worker counts. Only CSV is emitted,
+in the format of :mod:`passiveqkd.tables`; plotting is left to the caller.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 domain error, 4 I/O error.
@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import estimation, keyrate, model, sampling
+from . import estimation, keyrate, model, sampling, tables
 from .errors import (
     BatchSizeError,
     DegenerateDataError,
@@ -43,34 +43,7 @@ from .scenario import (
     load_scenario,
 )
 
-_FLOAT_FMT = "%.17g"
-_SCHEMAS = {
-    "moments": "passiveqkd/moments v1",
-    "sweep-n0": "passiveqkd/sweep-n0 v1",
-    "sweep-attenuation": "passiveqkd/sweep-attenuation v1",
-    "keyrate": "passiveqkd/keyrate v1",
-    "keyrate-points": "passiveqkd/keyrate-points v1",
-}
-
 _SWEEP_WORKERS = 4
-
-
-def _fmt(value):
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _FLOAT_FMT % value
-
-
-def _write_csv(path, schema, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# schema: {_SCHEMAS[schema]}\n")
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _derived_path(out_path, suffix):
@@ -128,8 +101,8 @@ def _cmd_simulate(args):
     batch = sampling.simulate_batch(config, run)
     sampling.write_sample_csv(args.out, batch)
     moments_path = _derived_path(args.out, "moments")
-    _write_csv(moments_path, "moments", ("moment", "sample", "model"),
-               _moment_rows(batch, config))
+    tables.write_table(moments_path, "moments", ("moment", "sample", "model"),
+                       _moment_rows(batch, config))
     print(f"wrote {batch.n_samples} trials to {args.out}; moments to {moments_path}")
     return 0
 
@@ -167,7 +140,8 @@ def _cmd_sweep_n0(args):
         return (n0, est.mean_corr, est.std_dev, corr_model)
 
     rows = _pool_map(point, list(enumerate(grid)))
-    _write_csv(args.out, "sweep-n0", ("n0", "corr_mc", "corr_std", "corr_model"), rows)
+    tables.write_table(args.out, "sweep-n0",
+                       ("n0", "corr_mc", "corr_std", "corr_model"), rows)
     print(f"wrote {len(rows)} sweep points to {args.out}")
     return 0
 
@@ -203,8 +177,8 @@ def _cmd_sweep_attenuation(args):
         return (db, est.mean_corr, est.std_dev, corr_model)
 
     rows = _pool_map(point, list(enumerate(grid)))
-    _write_csv(args.out, "sweep-attenuation",
-               ("eta_tot_db", "corr_mc", "corr_std", "corr_model"), rows)
+    tables.write_table(args.out, "sweep-attenuation",
+                       ("eta_tot_db", "corr_mc", "corr_std", "corr_model"), rows)
     print(f"wrote {len(rows)} sweep points to {args.out}")
     return 0
 
@@ -287,8 +261,8 @@ def _cmd_keyrate(args):
                                         transmittance=t, length_km=length)
         rows.append((length, t, result.budget.prep_excess_noise, result.mutual_info,
                      result.holevo_info, result.rate, result.alice_attenuation))
-    _write_csv(args.out, "keyrate",
-               ("L_km", "T", "eps_A", "I_AB", "chi_BE", "R", "eta0"), rows)
+    tables.write_table(args.out, "keyrate",
+                       ("L_km", "T", "eps_A", "I_AB", "chi_BE", "R", "eta0"), rows)
     messages = [f"wrote {len(rows)} key-rate points to {args.out}"]
 
     if scenario.measured_points:
@@ -299,11 +273,11 @@ def _cmd_keyrate(args):
                                     n_blocks=args.blocks)
         point_rows = _measured_point_rows(scenario, run)
         points_path = _derived_path(args.out, "points")
-        _write_csv(points_path, "keyrate-points",
-                   ("eta_tot_db", "eta_tot", "eta0", "T", "corr_mean", "corr_std",
-                    "corr_model", "I_AB", "chi_BE", "R", "R_lower", "R_upper",
-                    "R_model", "has_key"),
-                   point_rows)
+        tables.write_table(points_path, "keyrate-points",
+                           ("eta_tot_db", "eta_tot", "eta0", "T", "corr_mean",
+                            "corr_std", "corr_model", "I_AB", "chi_BE", "R",
+                            "R_lower", "R_upper", "R_model", "has_key"),
+                           point_rows)
         messages.append(f"measured points to {points_path}")
     print("; ".join(messages))
     return 0

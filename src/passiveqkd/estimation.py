@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import tables
 from .errors import (
     DegenerateDataError,
     ParameterError,
@@ -25,7 +26,11 @@ from .errors import (
     is_integer,
     is_real,
 )
-from .model import correlation_coefficient, mutual_information_from_correlation
+from .model import (
+    _CORR_LIMIT,
+    correlation_coefficient,
+    mutual_information_from_correlation,
+)
 
 __all__ = [
     "CorrEstimate",
@@ -37,13 +42,6 @@ __all__ = [
     "read_points_csv",
     "write_fit_report",
 ]
-
-_FIT_SCHEMA = "passiveqkd/fit-report v1"
-_FLOAT_FMT = "%.17g"
-
-# Correlations this close to +-1 make log2(1/(1-r^2)) blow up; interval
-# endpoints are clipped just inside.
-_CORR_CAP = 1.0 - 1e-15
 
 
 @dataclass(frozen=True)
@@ -234,13 +232,24 @@ def empirical_mutual_info(estimate):
     m = abs(mean)
     if m >= 1.0:
         raise ParameterError([f"|mean_corr| must be < 1, got {mean!r}"])
-    lo = min(max(m - std, 0.0), _CORR_CAP)
-    hi = min(m + std, _CORR_CAP)
+    # Interval endpoints are clipped just inside |r| = 1, where the
+    # information diverges.
+    lo = min(max(m - std, 0.0), _CORR_LIMIT)
+    hi = min(m + std, _CORR_LIMIT)
     return MutualInfoEstimate(
         bits=mutual_information_from_correlation(m),
         lower=mutual_information_from_correlation(lo),
         upper=mutual_information_from_correlation(hi),
     )
+
+
+def _point_columns(names):
+    corr = "corr_mean" if "corr_mean" in names else "corr_mc"
+    wanted = ["n0", corr, "corr_std"]
+    missing = [c for c in wanted if c not in names]
+    if missing:
+        raise ParameterError([f"points CSV is missing columns: {', '.join(missing)}"])
+    return wanted
 
 
 def read_points_csv(file_or_path):
@@ -249,38 +258,12 @@ def read_points_csv(file_or_path):
     Accepts any CSV whose header contains ``n0``, a correlation column
     named ``corr_mean`` or ``corr_mc``, and ``corr_std``; other columns
     are ignored. Comment lines starting with ``#`` are skipped. The
-    result feeds directly into ``fit_mode_overlap``.
+    result feeds directly into ``fit_mode_overlap``. Malformed input
+    raises ``ParameterError``.
     """
-    def _read(f):
-        header = None
-        rows = []
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            rows.append([field.strip() for field in line.split(",")])
-        if header is None or not rows:
-            raise ParameterError(["points CSV contains no data rows"])
-        cols = {name: i for i, name in enumerate(header)}
-        corr_col = "corr_mean" if "corr_mean" in cols else "corr_mc"
-        missing = [c for c in ("n0", corr_col, "corr_std") if c not in cols]
-        if missing:
-            raise ParameterError(
-                [f"points CSV is missing columns: {', '.join(missing)}"])
-        points = []
-        for row in rows:
-            n0 = float(row[cols["n0"]])
-            pair = (float(row[cols[corr_col]]), float(row[cols["corr_std"]]))
-            points.append((n0, pair))
-        return points
-
-    if hasattr(file_or_path, "read"):
-        return _read(file_or_path)
-    with open(file_or_path, "r", encoding="utf-8") as f:
-        return _read(f)
+    cols = tables.read_table(file_or_path, "points CSV", _point_columns)
+    n0, mean, std = (col.tolist() for col in cols.values())
+    return [(n, (m, s)) for n, m, s in zip(n0, mean, std)]
 
 
 def write_fit_report(file_or_path, points, fit, alice_channel, bob_channel,
@@ -291,23 +274,14 @@ def write_fit_report(file_or_path, points, fit, alice_channel, bob_channel,
     fitted-overlap prediction at that photon number; the trailing
     comment line records the fit summary.
     """
-    def _write(f):
-        f.write(f"# schema: {_FIT_SCHEMA}\n")
-        f.write("n0,corr_mean,corr_std,model_corr\n")
-        for n0, est in points:
-            mean, std = _as_mean_std(est)
-            g = correlation_coefficient(n0, 1.0, alice_channel, bob_channel,
-                                        path_transmittance)
-            row = (n0, mean, std, fit.mode_overlap * g)
-            f.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
-        f.write(f"# a_hat={_FLOAT_FMT % fit.mode_overlap}"
-                f" std_err={_FLOAT_FMT % fit.std_err}"
-                f" residual_norm={_FLOAT_FMT % fit.residual_norm}"
-                f" n_points={fit.n_points}"
-                f" clamped={str(fit.clamped).lower()}\n")
-
-    if hasattr(file_or_path, "write"):
-        _write(file_or_path)
-    else:
-        with open(file_or_path, "w", encoding="utf-8", newline="\n") as f:
-            _write(f)
+    rows = []
+    for n0, est in points:
+        mean, std = _as_mean_std(est)
+        g = correlation_coefficient(n0, 1.0, alice_channel, bob_channel,
+                                    path_transmittance)
+        rows.append((n0, mean, std, fit.mode_overlap * g))
+    summary = (("a_hat", fit.mode_overlap), ("std_err", fit.std_err),
+               ("residual_norm", fit.residual_norm), ("n_points", fit.n_points),
+               ("clamped", fit.clamped))
+    tables.write_table(file_or_path, "fit-report",
+                       ("n0", "corr_mean", "corr_std", "model_corr"), rows, summary)

@@ -53,6 +53,7 @@ from .model import (
     _excess_noise,
     correlation_coefficient,
     mutual_information_from_correlation,
+    transmittance_from_length,
 )
 
 __all__ = [
@@ -162,15 +163,6 @@ class HolevoResult(NamedTuple):
 def _require(cond, message, violations):
     if not cond:
         violations.append(message)
-
-
-def transmittance_from_length(length_km, attenuation_db_per_km=0.2):
-    """Fibre transmittance T = 10^(-gamma * L / 10)."""
-    violations = []
-    length = check_nonneg(length_km, "length_km", violations)
-    gamma = check_nonneg(attenuation_db_per_km, "attenuation_db_per_km", violations)
-    raise_violations(violations)
-    return 10.0 ** (-gamma * length / 10.0)
 
 
 def detector_added_noise(channel):

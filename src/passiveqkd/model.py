@@ -70,6 +70,15 @@ __all__ = [
 _CORR_LIMIT = 1.0 - 1e-15
 
 
+def transmittance_from_length(length_km, attenuation_db_per_km=0.2):
+    """Fibre transmittance T = 10^(-gamma * L / 10)."""
+    violations = []
+    length = check_nonneg(length_km, "length_km", violations)
+    gamma = check_nonneg(attenuation_db_per_km, "attenuation_db_per_km", violations)
+    raise_violations(violations)
+    return 10.0 ** (-gamma * length / 10.0)
+
+
 def _store_floats(obj, *names):
     """Keep the named, already checked fields of a frozen dataclass as floats."""
     for name in names:
@@ -163,12 +172,9 @@ class ChannelParams:
     @classmethod
     def from_fiber(cls, length_km, attenuation_db_per_km=0.2):
         """Build a fibre channel with T = 10^(-gamma*L/10)."""
-        violations = []
-        length = check_nonneg(length_km, "length_km", violations)
-        gamma = check_nonneg(attenuation_db_per_km, "attenuation_db_per_km", violations)
-        raise_violations(violations)
-        return cls(transmittance=10.0 ** (-gamma * length / 10.0), length_km=length,
-                   attenuation_db_per_km=gamma)
+        t = transmittance_from_length(length_km, attenuation_db_per_km)
+        return cls(transmittance=t, length_km=length_km,
+                   attenuation_db_per_km=attenuation_db_per_km)
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,17 @@ Reproducibility contract: all randomness derives from counter-based
 Philox streams keyed by ``(seed, chunk_index, term_index)``, where a
 chunk is a fixed-size range of trial indices and a term is one physical
 noise source. Results are therefore bit-identical for a given
-``(SystemConfig, RunSpec)`` regardless of how many workers generate the
-chunks.
+``(SystemConfig, RunSpec)``.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tables
 from .errors import BatchSizeError, ParameterError, is_integer, is_real
 from .model import SystemConfig
 
@@ -49,13 +48,11 @@ __all__ = [
 ]
 
 # Trials per RNG chunk. Fixed so that the substream layout, and hence
-# every sample, is independent of batch size and worker count.
+# every sample, is independent of batch size.
 CHUNK_SIZE = 1 << 16
 
 # Refuse batches whose column storage would exceed this many bytes.
 DEFAULT_MEMORY_LIMIT = 8 << 30
-
-_SAMPLES_SCHEMA = "passiveqkd/samples v1"
 
 # One RNG substream per physical noise source and quadrature. The X
 # list comes first; the P list mirrors it with independent draws.
@@ -64,7 +61,8 @@ _TERMS_PER_QUAD = 13
  _T_VAC_ATTEN, _T_VAC_CHANNEL, _T_VAC_BOB_SPLIT, _T_VAC_ALICE_DET, _T_VAC_BOB_DET,
  _T_ALICE_ELEC, _T_BOB_ELEC, _T_VAC_EVE_SPLIT) = range(_TERMS_PER_QUAD)
 
-_FLOAT_FMT = "%.17g"
+_SAMPLE_COLUMNS = ("x1", "x2", "x3", "x4", "p1", "p2", "p3", "p4")
+_REQUIRED_COLUMNS = ("x1", "x2", "x3", "p1", "p2", "p3")
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ def _quadrature_chunk(config, seed, chunk_index, count, term_base, alice_ch, bob
     return out, alice, bob, tap
 
 
-def simulate_batch(config: SystemConfig, run: RunSpec, *, n_workers=1,
+def simulate_batch(config: SystemConfig, run: RunSpec, *,
                    memory_limit_bytes=DEFAULT_MEMORY_LIMIT):
     """Generate one batch of simulated trials for ``config``.
 
@@ -236,9 +234,6 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *, n_workers=1,
     run : RunSpec
         Batch size and seed. ``run.n_blocks`` is carried for the
         estimation stage and does not influence sampling.
-    n_workers : int
-        Number of threads generating chunks. Any value yields
-        bit-identical output; more workers only trade memory for time.
     memory_limit_bytes : int
         Refuse (with ``BatchSizeError``) batches whose column storage
         would exceed this limit, before any sampling starts.
@@ -251,26 +246,22 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *, n_workers=1,
         raise ParameterError([f"config must be a SystemConfig, got {type(config).__name__}"])
     if not isinstance(run, RunSpec):
         raise ParameterError([f"run must be a RunSpec, got {type(run).__name__}"])
-    if not (is_integer(n_workers) and n_workers >= 1):
-        raise ParameterError([f"n_workers must be an integer >= 1, got {n_workers!r}"])
 
     n = run.n_samples
     n_cols = 8 if config.eavesdropper_tap else 6
-    workspace = 2 * _TERMS_PER_QUAD * min(CHUNK_SIZE, n) * 8 * max(n_workers, 1)
+    workspace = 2 * _TERMS_PER_QUAD * min(CHUNK_SIZE, n) * 8
     needed = n_cols * n * 8 + workspace
     if needed > memory_limit_bytes:
         raise BatchSizeError(
             f"batch of {n} samples x {n_cols} columns needs about {needed} bytes, "
             f"over the limit of {memory_limit_bytes}")
 
-    cols = {name: np.empty(n) for name in ("x1", "x2", "x3", "p1", "p2", "p3")}
+    cols = {name: np.empty(n) for name in _REQUIRED_COLUMNS}
     if config.eavesdropper_tap:
         cols["x4"] = np.empty(n)
         cols["p4"] = np.empty(n)
 
-    n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-
-    def fill(chunk_index):
+    for chunk_index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
         start = chunk_index * CHUNK_SIZE
         count = min(CHUNK_SIZE, n - start)
         sl = slice(start, start + count)
@@ -286,13 +277,6 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *, n_workers=1,
         cols["p1"][sl], cols["p2"][sl], cols["p3"][sl] = out, alice, bob
         if tap is not None:
             cols["p4"][sl] = tap
-
-    if n_workers == 1:
-        for ci in range(n_chunks):
-            fill(ci)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, range(n_chunks)))
 
     return SampleBatch(**cols)
 
@@ -315,60 +299,24 @@ def write_sample_csv(file_or_path, batch):
     present columns in wire order, then one trial per row. Floats use
     repr-faithful decimal text; lines end with LF.
     """
-    names = batch.column_names()
-    matrix = np.column_stack(batch.columns())
-    header = ",".join(names)
+    tables.write_table(file_or_path, "samples", batch.column_names(),
+                       np.column_stack(batch.columns()))
 
-    def _write(f):
-        f.write(f"# schema: {_SAMPLES_SCHEMA}\n")
-        f.write(header + "\n")
-        np.savetxt(f, matrix, fmt=_FLOAT_FMT, delimiter=",", newline="\n")
 
-    if hasattr(file_or_path, "write"):
-        _write(file_or_path)
-    else:
-        with open(file_or_path, "w", encoding="utf-8", newline="\n") as f:
-            _write(f)
+def _sample_columns(names):
+    unknown = [c for c in names if c not in _SAMPLE_COLUMNS]
+    if unknown:
+        raise ParameterError([f"unknown sample columns: {', '.join(unknown)}"])
+    missing = [c for c in _REQUIRED_COLUMNS if c not in names]
+    if missing:
+        raise ParameterError([f"sample CSV is missing columns: {', '.join(missing)}"])
+    return names
 
 
 def read_sample_csv(file_or_path):
     """Read a batch written by ``write_sample_csv``.
 
     Returns a ``SampleBatch``; columns absent from the file stay None.
+    Malformed input raises ``ParameterError``.
     """
-    def _read(f):
-        header = None
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            header = line
-            break
-        if header is None:
-            raise ParameterError(["sample CSV contains no header row"])
-        names = [c.strip() for c in header.split(",")]
-        allowed = {"x1", "x2", "x3", "x4", "p1", "p2", "p3", "p4"}
-        unknown = [c for c in names if c not in allowed]
-        if unknown:
-            raise ParameterError([f"unknown sample columns: {', '.join(unknown)}"])
-        body = [ln for ln in f if ln.strip() and not ln.lstrip().startswith("#")]
-        if not body:
-            raise ParameterError(["sample CSV contains no data rows"])
-        data = np.loadtxt(body, delimiter=",", ndmin=2)
-        if data.shape[1] != len(names):
-            raise ParameterError(
-                [f"sample CSV rows have {data.shape[1]} fields, header names {len(names)}"])
-        by_name = {name: np.ascontiguousarray(data[:, i]) for i, name in enumerate(names)}
-        required = ("x1", "x2", "x3", "p1", "p2", "p3")
-        missing = [c for c in required if c not in by_name]
-        if missing:
-            raise ParameterError([f"sample CSV is missing columns: {', '.join(missing)}"])
-        return SampleBatch(
-            x1=by_name["x1"], x2=by_name["x2"], x3=by_name["x3"],
-            p1=by_name["p1"], p2=by_name["p2"], p3=by_name["p3"],
-            x4=by_name.get("x4"), p4=by_name.get("p4"))
-
-    if hasattr(file_or_path, "read"):
-        return _read(file_or_path)
-    with open(file_or_path, "r", encoding="utf-8") as f:
-        return _read(f)
+    return SampleBatch(**tables.read_table(file_or_path, "sample CSV", _sample_columns))

@@ -35,7 +35,7 @@ def test_criterion_1_lossless_correlation_and_overlap_recovery(
     for index, n0 in enumerate(pq.DEFAULT_N0_GRID):
         config = bench_config.replace(source=pq.SourceParams(float(n0), 0.96))
         run = pq.RunSpec(500_000, pq.derive_point_seed(1, index), n_blocks=10)
-        batch = pq.simulate_batch(config, run, n_workers=4)
+        batch = pq.simulate_batch(config, run)
         estimate = pq.blocked_correlation(batch.x2, batch.x3, 10)
         points.append((float(n0), estimate))
         if n0 == 880:
@@ -65,7 +65,7 @@ def test_criterion_2_attenuation_sweep_tracks_model(bench_config, alice_x,
         config = bench_config.replace(source=source,
                                       alice_attenuation=eta_tot)
         run = pq.RunSpec(500_000, pq.derive_point_seed(1, index), n_blocks=10)
-        batch = pq.simulate_batch(config, run, n_workers=4)
+        batch = pq.simulate_batch(config, run)
         estimate = pq.blocked_correlation(batch.x2, batch.x3, 10)
         model = pq.correlation_coefficient(900.0, 0.96, alice_x, bob_x,
                                            eta_tot)
@@ -112,7 +112,7 @@ def test_criterion_3_distance_curve_and_measured_points(link_config):
         bench = link_config.replace(alice_attenuation=eta_tot,
                                     channel=pq.ChannelParams(1.0))
         run = pq.RunSpec(500_000, pq.derive_point_seed(1, index), n_blocks=10)
-        batch = pq.simulate_batch(bench, run, n_workers=4)
+        batch = pq.simulate_batch(bench, run)
         estimate = pq.blocked_correlation(batch.x2, batch.x3, 10)
         declared = link_config.replace(alice_attenuation=e0,
                                        channel=pq.ChannelParams(t))

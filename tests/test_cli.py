@@ -212,6 +212,20 @@ def test_fit_unidentifiable_exits_3(tmp_path, scenario_file, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["100,0.5", "100,0.5,abc"])
+def test_fit_malformed_points_exits_2(tmp_path, scenario_file, capsys, row):
+    """A short row or a non-numeric field is a configuration error."""
+    points = tmp_path / "points.csv"
+    points.write_text(f"n0,corr_mean,corr_std\n50,0.4,0.01\n{row}\n",
+                      encoding="utf-8")
+    rc = main(["fit", "--scenario", scenario_file(base_document()),
+               "--points", str(points), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err
+    assert "points CSV has a malformed row" in err
+
+
 def test_keyrate_fixed_split(tmp_path, scenario_file):
     doc = base_document()
     doc["system"]["source"]["mean_photon_number"] = 900.0

@@ -238,6 +238,10 @@ def test_read_points_csv_variants():
     assert points == [(100.0, (0.5, 0.01)), (400.0, (0.8, 0.02))]
     report_style = ("n0,corr_mean,corr_std\n100,0.5,0.01\n")
     assert pq.read_points_csv(io.StringIO(report_style)) == [(100.0, (0.5, 0.01))]
+    labelled = ("label,n0,corr_mean,corr_std\n"
+                "first,100,0.5,0.01\n"
+                "second,400,0.8,0.02\n")
+    assert pq.read_points_csv(io.StringIO(labelled)) == points
 
 
 def test_read_points_csv_errors():
@@ -247,6 +251,11 @@ def test_read_points_csv_errors():
         pq.read_points_csv(io.StringIO("n0,corr_mean,corr_std\n"))
     with pytest.raises(pq.ParameterError):
         pq.read_points_csv(io.StringIO(""))
+    with pytest.raises(pq.ParameterError, match="missing columns: corr_std"):
+        pq.read_points_csv(io.StringIO("n0,corr_mean\n100,0.5\n"))
+    for body in ("100,0.5,0.01\n400,0.8\n", "100,0.5,abc\n"):
+        with pytest.raises(pq.ParameterError, match="points CSV has a malformed row"):
+            pq.read_points_csv(io.StringIO("n0,corr_mean,corr_std\n" + body))
 
 
 def test_write_fit_report_format(alice_x, bob_x):

@@ -25,18 +25,14 @@ def small_config(alice_detector, bob_detector):
     )
 
 
-def test_determinism_across_workers_and_calls(small_config):
-    """Bit-identical output for any worker count, including batches that
-    span a chunk boundary."""
+def test_determinism_across_calls(small_config):
+    """The same seed twice gives bit-identical columns, for a batch that
+    spans a chunk boundary."""
     run = pq.RunSpec(n_samples=pq.CHUNK_SIZE + 123, seed=11, n_blocks=10)
-    first = pq.simulate_batch(small_config, run, n_workers=1)
-    for workers in (2, 4):
-        again = pq.simulate_batch(small_config, run, n_workers=workers)
-        for name in first.column_names():
-            assert np.array_equal(getattr(first, name), getattr(again, name))
-    repeat = pq.simulate_batch(small_config, run, n_workers=1)
-    assert np.array_equal(first.x3, repeat.x3)
-    assert np.array_equal(first.p2, repeat.p2)
+    first = pq.simulate_batch(small_config, run)
+    again = pq.simulate_batch(small_config, run)
+    for name in first.column_names():
+        assert np.array_equal(getattr(first, name), getattr(again, name))
 
 
 def test_different_seeds_differ(small_config):
@@ -51,7 +47,7 @@ def test_moments_match_model(bench_config):
     """Sample second moments agree with the closed forms on both
     quadrature chains."""
     run = pq.RunSpec(n_samples=200_000, seed=7, n_blocks=10)
-    batch = pq.simulate_batch(bench_config, run, n_workers=4)
+    batch = pq.simulate_batch(bench_config, run)
     n0 = bench_config.source.mean_photon_number
     a = bench_config.source.mode_overlap
     for alice, bob, out, ax, bx in (
@@ -114,7 +110,7 @@ def test_quadrature_symmetry(bench_config):
 def test_empirical_conditional_variance(bench_config, alice_x):
     """The residual variance at the optimal gain matches 1 + eps."""
     run = pq.RunSpec(n_samples=200_000, seed=17, n_blocks=10)
-    batch = pq.simulate_batch(bench_config, run, n_workers=4)
+    batch = pq.simulate_batch(bench_config, run)
     gain = pq.optimal_estimator_gain(880.0, 0.96, 1.0, alice_x)
     delta = pq.empirical_conditional_variance(batch, gain)
     expected = pq.conditional_uncertainty(880.0, 1.0, alice_x, 0.96)
@@ -174,11 +170,11 @@ def test_simulate_batch_input_types(small_config):
         pq.simulate_batch("not a config", run)
     with pytest.raises(pq.ParameterError):
         pq.simulate_batch(small_config, "not a run")
-    with pytest.raises(pq.ParameterError):
-        pq.simulate_batch(small_config, run, n_workers=0)
 
 
-def test_sample_csv_round_trip(small_config):
+def test_sample_csv_round_trip(small_config, tmp_path):
+    """An open file and a path (streamed by numpy) both read back the
+    written columns bit for bit."""
     run = pq.RunSpec(n_samples=500, seed=19, n_blocks=5)
     batch = pq.simulate_batch(small_config.replace(eavesdropper_tap=True), run)
     buf = io.StringIO()
@@ -188,9 +184,13 @@ def test_sample_csv_round_trip(small_config):
     assert lines[0] == "# schema: passiveqkd/samples v1"
     assert lines[1] == "x1,x2,x3,x4,p1,p2,p3,p4"
     assert len(lines) == 2 + 500
-    back = pq.read_sample_csv(io.StringIO(text))
-    for name in batch.column_names():
-        assert np.array_equal(getattr(batch, name), getattr(back, name))
+    path = tmp_path / "samples.csv"
+    pq.write_sample_csv(path, batch)
+    assert path.read_text(encoding="utf-8") == text
+    for source in (io.StringIO(text), path):
+        back = pq.read_sample_csv(source)
+        for name in batch.column_names():
+            assert np.array_equal(getattr(batch, name), getattr(back, name))
 
 
 def test_sample_csv_errors():
@@ -202,3 +202,9 @@ def test_sample_csv_errors():
         pq.read_sample_csv(io.StringIO("# schema: passiveqkd/samples v1\n"))
     with pytest.raises(pq.ParameterError):
         pq.read_sample_csv(io.StringIO("x1,x2,x3,p1,p2,p3\n"))
+    header = "# schema: passiveqkd/samples v1\nx1,x2,x3,p1,p2,p3\n"
+    for body, problem in (("1,2,3,4,5,6\n1,2,3\n", "number of columns"),
+                          ("1,2,3,4,5,6,7\n", "7 fields"),
+                          ("1,2,3,four,5,6\n", "four")):
+        with pytest.raises(pq.ParameterError, match=f"sample CSV.*{problem}"):
+            pq.read_sample_csv(io.StringIO(header + body))
