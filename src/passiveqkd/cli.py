@@ -20,6 +20,7 @@ domain error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -47,10 +48,8 @@ _SWEEP_WORKERS = 4
 
 
 def _derived_path(out_path, suffix):
-    stem, dot, ext = out_path.rpartition(".")
-    if not dot:
-        return f"{out_path}.{suffix}.csv"
-    return f"{stem}.{suffix}.{ext}"
+    stem, ext = os.path.splitext(out_path)
+    return f"{stem}.{suffix}{ext or '.csv'}"
 
 
 def _pool_map(fn, items):
@@ -93,12 +92,34 @@ def _moment_rows(batch, config):
     return rows
 
 
+def _run_spec(scenario, args):
+    return scenario.run_spec(seed=args.seed, n_samples=args.samples,
+                             n_blocks=args.blocks)
+
+
+def _bench_config(scenario, eta_tot):
+    # A combined attenuation is measured back-to-back: a single
+    # attenuator at the sender followed by a lossless bench link. Any
+    # attenuator/channel split is declared for analysis only.
+    return scenario.system_config(alice_attenuation=eta_tot,
+                                  channel=model.ChannelParams(1.0))
+
+
+def _measure(config, run, index):
+    """Simulate point ``index`` of ``run`` and estimate its blocked
+    X-quadrature Alice-Bob correlation. The point's seed is
+    ``derive_point_seed(run.seed, index)``, so a row can be rerun alone."""
+    spec = sampling.RunSpec(run.n_samples,
+                            sampling.derive_point_seed(run.seed, index),
+                            run.n_blocks)
+    batch = sampling.simulate_batch(config, spec)
+    return estimation.blocked_correlation(batch.x2, batch.x3, spec.n_blocks)
+
+
 def _cmd_simulate(args):
     scenario = load_scenario(args.scenario)
     config = scenario.system_config()
-    run = scenario.run_spec(seed=args.seed, n_samples=args.samples,
-                            n_blocks=args.blocks)
-    batch = sampling.simulate_batch(config, run)
+    batch = sampling.simulate_batch(config, _run_spec(scenario, args))
     sampling.write_sample_csv(args.out, batch)
     moments_path = _derived_path(args.out, "moments")
     tables.write_table(moments_path, "moments", ("moment", "sample", "model"),
@@ -117,33 +138,34 @@ def _sweep_grid(scenario, command, variable, default_grid):
     return scenario.sweep.values
 
 
+def _sweep(args, scenario, command, variable, grid, point_config):
+    """Correlation sweep over ``grid``: one measured and one model
+    correlation per grid value, whose config is ``point_config(value)``."""
+    run = _run_spec(scenario, args)
+    configs = [point_config(value) for value in grid]
+
+    def point(index):
+        config = configs[index]
+        est = _measure(config, run, index)
+        corr_model = model.correlation_coefficient(
+            config.source.mean_photon_number, config.source.mode_overlap,
+            config.alice_detector.x, config.bob_detector.x,
+            config.path_transmittance)
+        return (grid[index], est.mean_corr, est.std_dev, corr_model)
+
+    rows = _pool_map(point, range(len(grid)))
+    tables.write_table(args.out, command,
+                       (variable, "corr_mc", "corr_std", "corr_model"), rows)
+    print(f"wrote {len(rows)} sweep points to {args.out}")
+    return 0
+
+
 def _cmd_sweep_n0(args):
     scenario = load_scenario(args.scenario)
     grid = _sweep_grid(scenario, "sweep-n0", "n0", DEFAULT_N0_GRID)
     base = scenario.system_config()
-    run = scenario.run_spec(seed=args.seed, n_samples=args.samples,
-                            n_blocks=args.blocks)
-    eta_tot = base.path_transmittance
-
-    def point(item):
-        index, n0 = item
-        config = base.replace(
-            source=model.SourceParams(n0, base.source.mode_overlap))
-        spec = sampling.RunSpec(run.n_samples,
-                                sampling.derive_point_seed(run.seed, index),
-                                run.n_blocks)
-        batch = sampling.simulate_batch(config, spec)
-        est = estimation.blocked_correlation(batch.x2, batch.x3, spec.n_blocks)
-        corr_model = model.correlation_coefficient(
-            n0, base.source.mode_overlap, base.alice_detector.x,
-            base.bob_detector.x, eta_tot)
-        return (n0, est.mean_corr, est.std_dev, corr_model)
-
-    rows = _pool_map(point, list(enumerate(grid)))
-    tables.write_table(args.out, "sweep-n0",
-                       ("n0", "corr_mc", "corr_std", "corr_model"), rows)
-    print(f"wrote {len(rows)} sweep points to {args.out}")
-    return 0
+    return _sweep(args, scenario, "sweep-n0", "n0", grid, lambda n0: base.replace(
+        source=model.SourceParams(n0, base.source.mode_overlap)))
 
 
 def _cmd_sweep_attenuation(args):
@@ -154,33 +176,8 @@ def _cmd_sweep_attenuation(args):
     if bad:
         raise ParameterError(
             [f"eta_tot_db values must be <= 0 dB (attenuation), got {bad}"])
-    run = scenario.run_spec(seed=args.seed, n_samples=args.samples,
-                            n_blocks=args.blocks)
-    source = scenario.source
-
-    def point(item):
-        index, db = item
-        eta_tot = linear_from_db(db)
-        # The combined attenuation is realised as a single attenuator at
-        # the sender followed by a lossless bench link, matching how such
-        # a sweep is measured back-to-back.
-        config = scenario.system_config(
-            alice_attenuation=eta_tot, channel=model.ChannelParams(1.0))
-        spec = sampling.RunSpec(run.n_samples,
-                                sampling.derive_point_seed(run.seed, index),
-                                run.n_blocks)
-        batch = sampling.simulate_batch(config, spec)
-        est = estimation.blocked_correlation(batch.x2, batch.x3, spec.n_blocks)
-        corr_model = model.correlation_coefficient(
-            source.mean_photon_number, source.mode_overlap,
-            scenario.alice_detector.x, scenario.bob_detector.x, eta_tot)
-        return (db, est.mean_corr, est.std_dev, corr_model)
-
-    rows = _pool_map(point, list(enumerate(grid)))
-    tables.write_table(args.out, "sweep-attenuation",
-                       ("eta_tot_db", "corr_mc", "corr_std", "corr_model"), rows)
-    print(f"wrote {len(rows)} sweep points to {args.out}")
-    return 0
+    return _sweep(args, scenario, "sweep-attenuation", "eta_tot_db", grid,
+                  lambda db: _bench_config(scenario, linear_from_db(db)))
 
 
 def _cmd_fit(args):
@@ -206,27 +203,13 @@ def _measured_point_rows(scenario, run):
         split = scenario.system_config(
             alice_attenuation=spec.alice_attenuation,
             channel=model.ChannelParams(spec.transmittance))
-        if spec.corr_mean is not None:
-            est = (spec.corr_mean, spec.corr_std)
-            mean, std = spec.corr_mean, spec.corr_std
-        else:
-            if run is None:
-                raise ParameterError(
-                    ["measured_points without corr_mean need a run section "
-                     "(or --seed) to simulate the estimate"])
-            # The measurement realises the combined attenuation as a
-            # single attenuator; the split is declared for analysis only.
-            bench = scenario.system_config(
-                alice_attenuation=eta_tot, channel=model.ChannelParams(1.0))
-            point_run = sampling.RunSpec(
-                run.n_samples, sampling.derive_point_seed(run.seed, index),
-                run.n_blocks)
-            batch = sampling.simulate_batch(bench, point_run)
-            est = estimation.blocked_correlation(batch.x2, batch.x3,
-                                                 point_run.n_blocks)
+        if spec.corr_mean is None:
+            est = _measure(_bench_config(scenario, eta_tot), run, index)
             mean, std = est.mean_corr, est.std_dev
+        else:
+            mean, std = spec.corr_mean, spec.corr_std
         measured = keyrate.key_rate_from_measurement(
-            est, split, eta_tot, efficiency=scenario.efficiency)
+            (mean, std), split, eta_tot, efficiency=scenario.efficiency)
         rows.append((
             db_from_linear(eta_tot), eta_tot, spec.alice_attenuation,
             spec.transmittance, mean, std, measured.predicted_correlation,
@@ -250,15 +233,15 @@ def _cmd_keyrate(args):
         alice_attenuation=scenario.alice_attenuation if not optimize else 1.0)
     ts = [keyrate.transmittance_from_length(length, options.attenuation_db_per_km)
           for length in grid]
-    configs = [base] * len(ts)
+    e0s = [base.alice_attenuation] * len(ts)
     if optimize:
         # One vectorised search over the whole curve.
         e0s, _ = keyrate._best_attenuation(base, scenario.efficiency, ts)
-        configs = [base.replace(alice_attenuation=float(e0)) for e0 in e0s]
     rows = []
-    for length, t, config in zip(grid, ts, configs):
-        result = keyrate.key_rate_point(config, efficiency=scenario.efficiency,
-                                        transmittance=t, length_km=length)
+    for length, t, e0 in zip(grid, ts, e0s):
+        result = keyrate.key_rate_point(
+            base.replace(alice_attenuation=float(e0)),
+            efficiency=scenario.efficiency, transmittance=t, length_km=length)
         rows.append((length, t, result.budget.prep_excess_noise, result.mutual_info,
                      result.holevo_info, result.rate, result.alice_attenuation))
     tables.write_table(args.out, "keyrate",
@@ -266,18 +249,14 @@ def _cmd_keyrate(args):
     messages = [f"wrote {len(rows)} key-rate points to {args.out}"]
 
     if scenario.measured_points:
-        run = None
         needs_run = any(p.corr_mean is None for p in scenario.measured_points)
-        if needs_run:
-            run = scenario.run_spec(seed=args.seed, n_samples=args.samples,
-                                    n_blocks=args.blocks)
-        point_rows = _measured_point_rows(scenario, run)
+        run = _run_spec(scenario, args) if needs_run else None
         points_path = _derived_path(args.out, "points")
         tables.write_table(points_path, "keyrate-points",
                            ("eta_tot_db", "eta_tot", "eta0", "T", "corr_mean",
                             "corr_std", "corr_model", "I_AB", "chi_BE", "R",
                             "R_lower", "R_upper", "R_model", "has_key"),
-                           point_rows)
+                           _measured_point_rows(scenario, run))
         messages.append(f"measured points to {points_path}")
     print("; ".join(messages))
     return 0

@@ -265,18 +265,14 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *,
         start = chunk_index * CHUNK_SIZE
         count = min(CHUNK_SIZE, n - start)
         sl = slice(start, start + count)
-        out, alice, bob, tap = _quadrature_chunk(
-            config, run.seed, chunk_index, count, 0,
-            config.alice_detector.x, config.bob_detector.x, config.eavesdropper_tap)
-        cols["x1"][sl], cols["x2"][sl], cols["x3"][sl] = out, alice, bob
-        if tap is not None:
-            cols["x4"][sl] = tap
-        out, alice, bob, tap = _quadrature_chunk(
-            config, run.seed, chunk_index, count, _TERMS_PER_QUAD,
-            config.alice_detector.p, config.bob_detector.p, config.eavesdropper_tap)
-        cols["p1"][sl], cols["p2"][sl], cols["p3"][sl] = out, alice, bob
-        if tap is not None:
-            cols["p4"][sl] = tap
+        for quad, term_base in (("x", 0), ("p", _TERMS_PER_QUAD)):
+            columns = _quadrature_chunk(
+                config, run.seed, chunk_index, count, term_base,
+                getattr(config.alice_detector, quad), getattr(config.bob_detector, quad),
+                config.eavesdropper_tap)
+            for mode, values in zip("1234", columns):
+                if values is not None:
+                    cols[quad + mode][sl] = values
 
     return SampleBatch(**cols)
 

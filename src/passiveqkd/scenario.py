@@ -52,6 +52,10 @@ DEFAULT_N0_GRID = (10.0, 25.0, 50.0, 100.0, 200.0, 400.0, 880.0)
 DEFAULT_ETA_TOT_DB_GRID = tuple(float(-5 * k) for k in range(10))
 DEFAULT_LENGTH_KM_GRID = tuple(float(5 * k) for k in range(25))
 
+# Run size when the scenario has no run section or leaves a field out.
+_DEFAULT_N_SAMPLES = 500_000
+_DEFAULT_N_BLOCKS = 10
+
 
 def linear_from_db(db):
     """Convert a dB attenuation/transmittance value to linear: 10^(db/10)."""
@@ -139,8 +143,8 @@ class Scenario:
 
     def run_spec(self, *, seed=None, n_samples=None, n_blocks=None):
         """Build the RunSpec, applying CLI overrides over scenario values."""
-        base_samples = self.run.n_samples if self.run else 500_000
-        base_blocks = self.run.n_blocks if self.run else 10
+        base_samples = self.run.n_samples if self.run else _DEFAULT_N_SAMPLES
+        base_blocks = self.run.n_blocks if self.run else _DEFAULT_N_BLOCKS
         base_seed = self.run.seed if self.run else None
         seed = base_seed if seed is None else seed
         if seed is None:
@@ -340,10 +344,10 @@ def _parse_run(node, violations):
         return None
     _reject_unknown(node, {"n_samples", "seed", "n_blocks"}, where, violations)
     n_samples = _integer(node, "n_samples", where, violations, required=False,
-                         default=500_000, minimum=1)
+                         default=_DEFAULT_N_SAMPLES, minimum=1)
     seed = _integer(node, "seed", where, violations, minimum=0)
     n_blocks = _integer(node, "n_blocks", where, violations, required=False,
-                        default=10, minimum=1)
+                        default=_DEFAULT_N_BLOCKS, minimum=1)
     if seed is None or n_samples is None or n_blocks is None:
         return None
     if seed >= 2**64:

@@ -7,11 +7,14 @@ codes; one subprocess smoke test covers the installed entry point.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import passiveqkd as pq
 from passiveqkd.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def base_document():
@@ -27,6 +30,36 @@ def base_document():
         },
         "run": {"n_samples": 4000, "seed": 3, "n_blocks": 4},
     }
+
+
+def document_config(doc, alice_attenuation, n0=None):
+    """The back-to-back SystemConfig of ``doc``'s system section, built
+    independently of the CLI, with the given attenuator and photon number."""
+    system = doc["system"]
+    source = system["source"]
+    detector = {party: pq.ConjugateDetector(
+        **{q: pq.DetectorChannel(**system[party][q]) for q in ("x", "p")})
+        for party in ("alice_detector", "bob_detector")}
+    return pq.SystemConfig(
+        source=pq.SourceParams(source["mean_photon_number"] if n0 is None else n0,
+                               source["mode_overlap"]),
+        alice_attenuation=alice_attenuation,
+        channel=pq.ChannelParams(1.0), **detector)
+
+
+def rerun_row(config, doc, index):
+    """Row ``index`` measured alone: the run seed derived for that row."""
+    run = doc["run"]
+    spec = pq.RunSpec(run["n_samples"], pq.derive_point_seed(run["seed"], index),
+                      run["n_blocks"])
+    batch = pq.simulate_batch(config, spec)
+    return pq.blocked_correlation(batch.x2, batch.x3, spec.n_blocks)
+
+
+def csv_rows(path):
+    """The first six columns of each data row, as floats."""
+    return [[float(v) for v in line.split(",")[:6]]
+            for line in path.read_text().splitlines()[2:]]
 
 
 @pytest.fixture()
@@ -83,6 +116,78 @@ def test_cli_byte_determinism(tmp_path, scenario_file):
     assert main(["sweep-n0", "--scenario", doc, "--out", str(sa)]) == 0
     assert main(["sweep-n0", "--scenario", doc, "--out", str(sb)]) == 0
     assert sa.read_bytes() == sb.read_bytes()
+    assert main(["sweep-attenuation", "--scenario", doc, "--out", str(sa)]) == 0
+    assert main(["sweep-attenuation", "--scenario", doc, "--out", str(sb)]) == 0
+    assert sa.read_bytes() == sb.read_bytes()
+    measured = base_document()
+    measured["measured_points"] = [{"alice_attenuation": 0.5, "transmittance": 0.5}]
+    doc = scenario_file(measured, "measured.json")
+    ka, kb = tmp_path / "ka.csv", tmp_path / "kb.csv"
+    assert main(["keyrate", "--scenario", doc, "--out", str(ka)]) == 0
+    assert main(["keyrate", "--scenario", doc, "--out", str(kb)]) == 0
+    assert ka.read_bytes() == kb.read_bytes()
+    assert ((tmp_path / "ka.points.csv").read_bytes()
+            == (tmp_path / "kb.points.csv").read_bytes())
+
+
+def test_derived_path_splits_the_file_name_only(tmp_path, scenario_file,
+                                                monkeypatch):
+    """A dot in a directory name or a leading ./ does not move derived files."""
+    doc = scenario_file(base_document())
+    nested = tmp_path / "v1.2"
+    nested.mkdir()
+    assert main(["simulate", "--scenario", doc, "--out", str(nested / "samples"),
+                 "--samples", "100", "--blocks", "2"]) == 0
+    assert (nested / "samples.moments.csv").is_file()
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["simulate", "--scenario", doc, "--out", "./samples",
+                 "--samples", "100", "--blocks", "2"]) == 0
+    assert sorted(p.name for p in work.iterdir()) == ["samples",
+                                                      "samples.moments.csv"]
+
+
+def test_sweep_n0_row_reproduced_alone(tmp_path, scenario_file):
+    doc = base_document()
+    doc["sweep"] = {"variable": "n0", "values": [50, 200]}
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-n0", "--scenario", scenario_file(doc),
+                 "--out", str(out)]) == 0
+    for index, row in enumerate(csv_rows(out)):
+        est = rerun_row(document_config(doc, 1.0, n0=row[0]), doc, index)
+        assert (row[1], row[2]) == (est.mean_corr, est.std_dev)
+
+
+def test_sweep_attenuation_row_reproduced_alone(tmp_path, scenario_file):
+    doc = base_document()
+    doc["sweep"] = {"variable": "eta_tot_db", "values": [0, -10, -20]}
+    out = tmp_path / "att.csv"
+    assert main(["sweep-attenuation", "--scenario", scenario_file(doc),
+                 "--out", str(out)]) == 0
+    for index, row in enumerate(csv_rows(out)):
+        config = document_config(doc, pq.linear_from_db(row[0]))
+        est = rerun_row(config, doc, index)
+        assert (row[1], row[2]) == (est.mean_corr, est.std_dev)
+
+
+def test_keyrate_measured_point_reproduced_alone(tmp_path, scenario_file):
+    """Measured point 1 is simulated on the back-to-back bench with the seed
+    of row 1; the inline point 0 still takes up index 0."""
+    doc = base_document()
+    doc["system"]["alice_attenuation"] = 0.0009
+    doc["sweep"] = {"variable": "length_km", "values": [0]}
+    doc["measured_points"] = [
+        {"alice_attenuation": 0.0009, "transmittance": 0.69,
+         "corr_mean": 0.315, "corr_std": 0.004},
+        {"alice_attenuation": 0.5, "transmittance": 0.5},
+    ]
+    assert main(["keyrate", "--scenario", scenario_file(doc),
+                 "--out", str(tmp_path / "rate.csv")]) == 0
+    rows = csv_rows(tmp_path / "rate.points.csv")
+    assert (rows[0][4], rows[0][5]) == (0.315, 0.004)
+    est = rerun_row(document_config(doc, 0.5 * 0.5), doc, 1)
+    assert (rows[1][4], rows[1][5]) == (est.mean_corr, est.std_dev)
 
 
 def test_seed_and_size_overrides(tmp_path, scenario_file):
@@ -339,6 +444,36 @@ def test_unwritable_out_exits_4(scenario_file, capsys):
                "--out", "/nonexistent-dir/x.csv"])
     assert rc == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_shipped_scenarios_run(tmp_path):
+    """Every scenario in scenarios/ runs with the commands it is written for."""
+    n0 = str(SCENARIOS / "correlation_vs_photon_number.json")
+    att = str(SCENARIOS / "correlation_vs_attenuation.json")
+    rate = str(SCENARIOS / "keyrate_vs_distance.json")
+    runs = [
+        (["simulate", "--scenario", n0], "s.csv", {
+            "s.csv": ("samples", "x1,x2,x3,p1,p2,p3"),
+            "s.moments.csv": ("moments", "moment,sample,model")}),
+        (["sweep-n0", "--scenario", n0], "n0.csv", {
+            "n0.csv": ("sweep-n0", "n0,corr_mc,corr_std,corr_model")}),
+        (["fit", "--scenario", n0, "--points", str(tmp_path / "n0.csv")], "fit.csv", {
+            "fit.csv": ("fit-report", "n0,corr_mean,corr_std,model_corr")}),
+        (["sweep-attenuation", "--scenario", att], "att.csv", {
+            "att.csv": ("sweep-attenuation", "eta_tot_db,corr_mc,corr_std,corr_model")}),
+        (["keyrate", "--scenario", rate], "rate.csv", {
+            "rate.csv": ("keyrate", "L_km,T,eps_A,I_AB,chi_BE,R,eta0"),
+            "rate.points.csv": ("keyrate-points",
+                                "eta_tot_db,eta_tot,eta0,T,corr_mean,corr_std,"
+                                "corr_model,I_AB,chi_BE,R,R_lower,R_upper,R_model,"
+                                "has_key")}),
+    ]
+    for argv, out, outputs in runs:
+        assert main(argv + ["--out", str(tmp_path / out),
+                            "--samples", "2000", "--blocks", "2"]) == 0, argv[0]
+        for name, (schema, header) in outputs.items():
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[:2] == [f"# schema: passiveqkd/{schema} v1", header], name
 
 
 def test_module_entry_point_smoke():
