@@ -292,8 +292,9 @@ def write_sample_csv(file_or_path, batch):
     """Write a batch in the columnar CSV wire format.
 
     Layout: one comment line ``# schema: ...``, a header naming the
-    present columns in wire order, then one trial per row. Floats use
-    repr-faithful decimal text; lines end with LF.
+    present columns in wire order, then one trial per row. Floats are
+    ``%.17g`` text: 17 significant digits, which read back bit-identical
+    (not ``repr``: 0.1 is written 0.10000000000000001). Lines end with LF.
     """
     tables.write_table(file_or_path, "samples", batch.column_names(),
                        np.column_stack(batch.columns()))

@@ -17,6 +17,10 @@ from .errors import ParameterError
 
 FLOAT_FMT = "%.17g"
 
+# Rows formatted per ``%`` by the matrix writer. A few hundred rows amortise
+# the per-call overhead; much larger blocks raise the writer's peak memory.
+_ROW_BLOCK = 256
+
 SCHEMAS = {
     "samples": "passiveqkd/samples v1",
     "moments": "passiveqkd/moments v1",
@@ -30,8 +34,8 @@ SCHEMAS = {
 
 def format_value(value):
     """One field's text: lowercase booleans, exact integers, 17-digit floats."""
-    if isinstance(value, bool):
-        return str(value).lower()
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -53,14 +57,22 @@ def _opened(file_or_path, mode):
 def write_table(file_or_path, kind, header, rows, summary=()):
     """Write a table of schema ``kind``.
 
-    ``rows`` is a float matrix, written by ``np.savetxt``, or row tuples.
+    ``rows`` is a float matrix or row tuples. A matrix is written in blocks
+    of rows, each formatted by one ``%`` of a repeated row template, which
+    gives the same bytes as ``np.savetxt(fmt=FLOAT_FMT, delimiter=",")``.
     (name, value) pairs in ``summary`` go on a trailing ``#`` line.
     """
     with _opened(file_or_path, "w") as f:
         f.write(f"# schema: {SCHEMAS[kind]}\n")
         f.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray):
-            np.savetxt(f, rows, fmt=FLOAT_FMT, delimiter=",", newline="\n")
+            line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+            template = line * _ROW_BLOCK
+            for start in range(0, len(rows), _ROW_BLOCK):
+                block = rows[start:start + _ROW_BLOCK]
+                if len(block) < _ROW_BLOCK:
+                    template = line * len(block)
+                f.write(template % tuple(block.ravel().tolist()))
         else:
             for row in rows:
                 f.write(",".join(format_value(v) for v in row) + "\n")

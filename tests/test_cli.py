@@ -4,6 +4,7 @@ Commands run in-process through ``main`` so return values are the exit
 codes; one subprocess smoke test covers the installed entry point.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -128,6 +129,22 @@ def test_cli_byte_determinism(tmp_path, scenario_file):
     assert ka.read_bytes() == kb.read_bytes()
     assert ((tmp_path / "ka.points.csv").read_bytes()
             == (tmp_path / "kb.points.csv").read_bytes())
+
+
+@pytest.mark.parametrize("tap, sha256", [
+    (False, "fa19c89b947eb3ab7dda24607d70cf9cfea6c4b314aeec90f7299f2e5e249778"),
+    (True, "cd43233753b650875dab578e725ff0f2512fbaf7c1fe27989faea892619787c4"),
+])
+def test_sample_csv_golden_bytes(tmp_path, scenario_file, tap, sha256):
+    """The sample stream and its text are pinned for ``passiveqkd/samples v1``:
+    a change to either must fail here and bump the schema tag. The moments
+    file is not pinned, because its correlation goes through BLAS."""
+    doc = json.loads((SCENARIOS / "correlation_vs_photon_number.json").read_text())
+    doc["system"]["eavesdropper_tap"] = tap
+    out = tmp_path / "samples.csv"
+    assert main(["simulate", "--scenario", scenario_file(doc), "--out", str(out),
+                 "--samples", "2000", "--seed", "7"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_derived_path_splits_the_file_name_only(tmp_path, scenario_file,
