@@ -6,10 +6,13 @@ studies. ``ParameterError`` collects every violated constraint it can
 find so a bad configuration is reported in one pass.
 
 The argument checks below are shared by every module. ``is_real`` and
-``is_integer`` pass Python and numpy numbers but not ``bool``; the
-``check_*`` helpers append a message for a bad value and return a good
-one as a Python float, so numpy scalars of any precision are computed
-with exactly as the Python numbers they equal.
+``is_integer`` pass Python and numpy numbers but not ``bool``. A
+``check_*`` rule appends a message starting with the name it is given for
+a bad value, and returns a good one as a Python number, so numpy scalars
+of any precision are computed with exactly as the Python numbers they
+equal. Each record states its fields' rules once, in ``_CHECKS``, which
+``check_record`` runs; ``check_args`` and ``check_fields`` run the same
+rules on function arguments and, under dotted paths, on scenario values.
 """
 
 from __future__ import annotations
@@ -20,8 +23,11 @@ import numbers
 
 def is_real(value):
     """True for a finite real number (int, float or numpy scalar), not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def is_integer(value):
@@ -30,11 +36,16 @@ def is_integer(value):
 
 
 def check_fraction(value, name, violations, *, allow_zero=False):
-    if not (is_real(value) and (value > 0 or (allow_zero and value == 0)) and value <= 1):
-        low = "0 <= " if allow_zero else "0 < "
-        violations.append(f"{name} must satisfy {low}{name} <= 1, got {value!r}")
-        return value
-    return float(value)
+    """A number in (0, 1], or in [0, 1] with ``allow_zero``."""
+    if not is_real(value):
+        violations.append(f"{name} must be a finite number, got {value!r}")
+    elif value > 1:
+        violations.append(f"{name} must be <= 1, got {value!r}")
+    elif value < 0 or (value == 0 and not allow_zero):
+        violations.append(f"{name} must be {'>=' if allow_zero else '>'} 0, got {value!r}")
+    else:
+        return float(value)
+    return value
 
 
 def check_nonneg(value, name, violations):
@@ -42,6 +53,62 @@ def check_nonneg(value, name, violations):
         violations.append(f"{name} must be finite and >= 0, got {value!r}")
         return value
     return float(value)
+
+
+def check_corr(value, name, violations):
+    """A correlation coefficient, in [-1, 1]."""
+    if not (is_real(value) and abs(value) <= 1):
+        violations.append(f"{name} must lie in [-1, 1], got {value!r}")
+        return value
+    return float(value)
+
+
+def check_integer(value, name, violations, *, minimum=0, bits=None):
+    """An integer >= ``minimum``, and < 2^``bits`` if given, returned as a
+    Python int."""
+    if not is_integer(value):
+        violations.append(f"{name} must be an integer, got {value!r}")
+    elif value < minimum:
+        violations.append(f"{name} must be >= {minimum}, got {value!r}")
+    elif bits is not None and value >= 2**bits:
+        violations.append(f"{name} must be < 2^{bits}, got {value!r}")
+    else:
+        return int(value)
+    return value
+
+
+def optional(check):
+    """``check`` for a value that may also be None."""
+    return lambda value, name, violations: (
+        value if value is None else check(value, name, violations))
+
+
+def check_fields(checks, values, violations, where=None):
+    """Run the rule ``checks[field]`` on each value of ``values`` that has
+    one, naming it ``where.field`` (or the bare field); returns ``values``
+    with those values checked."""
+    return {field: checks[field](value, f"{where}.{field}" if where else field,
+                                 violations) if field in checks else value
+            for field, value in values.items()}
+
+
+def check_args(checks, **args):
+    """The keyword arguments checked by their rules in ``checks``, in order;
+    raises every violation together."""
+    violations = []
+    checked = check_fields(checks, args, violations)
+    raise_violations(violations)
+    return list(checked.values())
+
+
+def check_record(record):
+    """``__post_init__`` of a frozen record whose class maps each checked
+    field to its rule in ``_CHECKS``: raise every violation together, and
+    keep the checked values as Python numbers."""
+    checked = check_args(record._CHECKS, **{field: getattr(record, field)
+                                           for field in record._CHECKS})
+    for field, value in zip(record._CHECKS, checked):
+        object.__setattr__(record, field, value)
 
 
 def raise_violations(violations):

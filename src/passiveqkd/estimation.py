@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +24,13 @@ from .errors import (
     DegenerateDataError,
     ParameterError,
     UnidentifiableFitError,
-    is_integer,
+    check_args,
+    check_corr,
+    check_integer,
+    check_nonneg,
+    check_record,
     is_real,
+    raise_violations,
 )
 from .model import (
     _CORR_LIMIT,
@@ -60,20 +66,11 @@ class CorrEstimate:
     block_size: int
     n_dropped: int = 0
 
-    def __post_init__(self):
-        violations = []
-        if not (is_real(self.mean_corr) and abs(self.mean_corr) <= 1.0):
-            violations.append(f"mean_corr must lie in [-1, 1], got {self.mean_corr!r}")
-        if not (is_real(self.std_dev) and self.std_dev >= 0):
-            violations.append(f"std_dev must be finite and >= 0, got {self.std_dev!r}")
-        if not (is_integer(self.n_blocks) and self.n_blocks >= 2):
-            violations.append(f"n_blocks must be an integer >= 2, got {self.n_blocks!r}")
-        if not (is_integer(self.block_size) and self.block_size >= 2):
-            violations.append(f"block_size must be an integer >= 2, got {self.block_size!r}")
-        if not (is_integer(self.n_dropped) and self.n_dropped >= 0):
-            violations.append(f"n_dropped must be an integer >= 0, got {self.n_dropped!r}")
-        if violations:
-            raise ParameterError(violations)
+    _CHECKS = {"mean_corr": check_corr, "std_dev": check_nonneg,
+               "n_blocks": partial(check_integer, minimum=2),
+               "block_size": partial(check_integer, minimum=2),
+               "n_dropped": check_integer}
+    __post_init__ = check_record
 
 
 @dataclass(frozen=True)
@@ -118,10 +115,8 @@ def blocked_correlation(x_alice, x_bob, n_blocks):
     elif x.shape[0] != y.shape[0]:
         violations.append(
             f"column lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if not (is_integer(n_blocks) and n_blocks >= 2):
-        violations.append(f"n_blocks must be an integer >= 2, got {n_blocks!r}")
-    if violations:
-        raise ParameterError(violations)
+    n_blocks = check_integer(n_blocks, "n_blocks", violations, minimum=2)
+    raise_violations(violations)
     block_size = x.shape[0] // n_blocks
     if block_size < 2:
         raise ParameterError(
@@ -155,11 +150,7 @@ def _as_mean_std(value):
     if isinstance(value, CorrEstimate):
         return value.mean_corr, value.std_dev
     mean, std = value
-    if not (math.isfinite(mean) and abs(mean) <= 1.0):
-        raise ParameterError([f"correlation mean must lie in [-1, 1], got {mean!r}"])
-    if not (math.isfinite(std) and std >= 0.0):
-        raise ParameterError([f"correlation std must be finite and >= 0, got {std!r}"])
-    return float(mean), float(std)
+    return tuple(check_args(CorrEstimate._CHECKS, mean_corr=mean, std_dev=std))
 
 
 def fit_mode_overlap(points, alice_channel, bob_channel, path_transmittance=1.0,

@@ -43,6 +43,8 @@ from .errors import (
     ModelInconsistencyError,
     NumericalDomainError,
     ParameterError,
+    check_args,
+    check_fields,
     check_fraction,
     check_nonneg,
     is_real,
@@ -50,6 +52,7 @@ from .errors import (
 )
 from .estimation import empirical_mutual_info
 from .model import (
+    _ARGS as _MODEL_ARGS,
     _excess_noise,
     correlation_coefficient,
     mutual_information_from_correlation,
@@ -77,6 +80,12 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# Argument rules of the public functions: the model's, plus the
+# reconciliation efficiency and the noise terms.
+_ARGS = {**_MODEL_ARGS, "efficiency": check_fraction, "excess_noise": check_nonneg,
+         "channel_noise": check_nonneg, "detector_noise": check_nonneg,
+         "total_noise": check_nonneg}
 
 # Attenuator search window for optimised-preparation rates.
 ATTENUATION_BOUNDS = (1e-8, 1.0)
@@ -176,21 +185,16 @@ def detector_added_noise(channel):
 
 def channel_added_noise(transmittance, excess_noise):
     """Channel added noise 1/T - 1 + eps, referred to the channel input."""
-    violations = []
-    t = check_fraction(transmittance, "transmittance", violations)
-    eps = check_nonneg(excess_noise, "excess_noise", violations)
-    raise_violations(violations)
+    t, eps = check_args(_ARGS, transmittance=transmittance, excess_noise=excess_noise)
     return _channel_noise(t, eps)
 
 
 def total_added_noise(channel_noise, detector_noise, transmittance):
     """Total added noise referred to the channel input:
     channel_noise + detector_noise / T."""
-    violations = []
-    chi_line = check_nonneg(channel_noise, "channel_noise", violations)
-    chi_det = check_nonneg(detector_noise, "detector_noise", violations)
-    t = check_fraction(transmittance, "transmittance", violations)
-    raise_violations(violations)
+    chi_line, chi_det, t = check_args(_ARGS, channel_noise=channel_noise,
+                                      detector_noise=detector_noise,
+                                      transmittance=transmittance)
     return _total_noise(chi_line, chi_det, t)
 
 
@@ -237,10 +241,9 @@ def holevo_bound(v, transmittance, channel_noise, detector_noise, total_noise):
     """
     violations = []
     _require(is_real(v) and v >= 1.0, f"v must be >= 1, got {v!r}", violations)
-    check_fraction(transmittance, "transmittance", violations)
-    check_nonneg(channel_noise, "channel_noise", violations)
-    check_nonneg(detector_noise, "detector_noise", violations)
-    check_nonneg(total_noise, "total_noise", violations)
+    check_fields(_ARGS, dict(transmittance=transmittance, channel_noise=channel_noise,
+                             detector_noise=detector_noise, total_noise=total_noise),
+                 violations)
     raise_violations(violations)
     args = [np.float64(x) for x in (v, transmittance, channel_noise, detector_noise,
                                     total_noise)]
@@ -395,16 +398,10 @@ def _chain(config, efficiency, e0, t):
 def _point_args(config, efficiency, transmittance, length_km):
     """Validated (efficiency, T) of one key-rate evaluation; T comes from
     ``transmittance``, else ``length_km`` at 0.2 dB/km, else the config."""
-    violations = []
-    check_fraction(efficiency, "efficiency", violations)
-    if transmittance is not None:
-        check_fraction(transmittance, "transmittance", violations)
-    raise_violations(violations)
-    if transmittance is not None:
-        return float(efficiency), float(transmittance)
-    if length_km is not None:
-        return float(efficiency), transmittance_from_length(length_km)
-    return float(efficiency), config.channel.transmittance
+    if transmittance is None:
+        transmittance = (config.channel.transmittance if length_km is None
+                         else transmittance_from_length(length_km))
+    return check_args(_ARGS, efficiency=efficiency, transmittance=transmittance)
 
 
 def noise_budget(config, transmittance=None):
@@ -547,10 +544,8 @@ def key_rate_from_measurement(estimate, config, path_transmittance, *,
         by mapping the correlation interval endpoints, and the analytic
         (model-correlation) prediction at the same path transmittance.
     """
-    violations = []
-    path_t = check_fraction(path_transmittance, "path_transmittance", violations)
-    f = check_fraction(efficiency, "efficiency", violations)
-    raise_violations(violations)
+    path_t, f = check_args(_ARGS, path_transmittance=path_transmittance,
+                           efficiency=efficiency)
     declared = config.path_transmittance
     if abs(declared - path_t) > 1e-9 * max(declared, path_t):
         raise ParameterError(

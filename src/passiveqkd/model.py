@@ -33,13 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (
     ModelInconsistencyError,
+    check_args,
     check_fraction,
     check_nonneg,
+    check_record,
     is_real,
+    optional,
     raise_violations,
 )
 
@@ -79,13 +83,6 @@ def transmittance_from_length(length_km, attenuation_db_per_km=0.2):
     return 10.0 ** (-gamma * length / 10.0)
 
 
-def _store_floats(obj, *names):
-    """Keep the named, already checked fields of a frozen dataclass as floats."""
-    for name in names:
-        if getattr(obj, name) is not None:
-            object.__setattr__(obj, name, float(getattr(obj, name)))
-
-
 @dataclass(frozen=True)
 class DetectorChannel:
     """One quadrature arm of a conjugate detector.
@@ -101,12 +98,8 @@ class DetectorChannel:
     efficiency: float
     noise_variance: float
 
-    def __post_init__(self):
-        violations = []
-        check_fraction(self.efficiency, "efficiency", violations)
-        check_nonneg(self.noise_variance, "noise_variance", violations)
-        raise_violations(violations)
-        _store_floats(self, "efficiency", "noise_variance")
+    _CHECKS = {"efficiency": check_fraction, "noise_variance": check_nonneg}
+    __post_init__ = check_record
 
 
 @dataclass(frozen=True)
@@ -133,12 +126,9 @@ class SourceParams:
     mean_photon_number: float
     mode_overlap: float
 
-    def __post_init__(self):
-        violations = []
-        check_nonneg(self.mean_photon_number, "mean_photon_number", violations)
-        check_fraction(self.mode_overlap, "mode_overlap", violations, allow_zero=True)
-        raise_violations(violations)
-        _store_floats(self, "mean_photon_number", "mode_overlap")
+    _CHECKS = {"mean_photon_number": check_nonneg,
+               "mode_overlap": partial(check_fraction, allow_zero=True)}
+    __post_init__ = check_record
 
     @property
     def orthogonal_weight(self):
@@ -159,15 +149,9 @@ class ChannelParams:
     length_km: float | None = None
     attenuation_db_per_km: float | None = None
 
-    def __post_init__(self):
-        violations = []
-        check_fraction(self.transmittance, "transmittance", violations)
-        if self.length_km is not None:
-            check_nonneg(self.length_km, "length_km", violations)
-        if self.attenuation_db_per_km is not None:
-            check_nonneg(self.attenuation_db_per_km, "attenuation_db_per_km", violations)
-        raise_violations(violations)
-        _store_floats(self, "transmittance", "length_km", "attenuation_db_per_km")
+    _CHECKS = {"transmittance": check_fraction, "length_km": optional(check_nonneg),
+               "attenuation_db_per_km": optional(check_nonneg)}
+    __post_init__ = check_record
 
     @classmethod
     def from_fiber(cls, length_km, attenuation_db_per_km=0.2):
@@ -194,11 +178,8 @@ class SystemConfig:
     bob_detector: ConjugateDetector
     eavesdropper_tap: bool = False
 
-    def __post_init__(self):
-        violations = []
-        check_fraction(self.alice_attenuation, "alice_attenuation", violations)
-        raise_violations(violations)
-        _store_floats(self, "alice_attenuation")
+    _CHECKS = {"alice_attenuation": check_fraction}
+    __post_init__ = check_record
 
     @property
     def path_transmittance(self):
@@ -209,6 +190,13 @@ class SystemConfig:
         """Return a copy with the given top-level fields replaced."""
         from dataclasses import replace as _replace
         return _replace(self, **kwargs)
+
+
+# The rule of each ranged argument of the functions below: that of the
+# record field of the same name, or of a quantity no record holds.
+_ARGS = {**SourceParams._CHECKS, **SystemConfig._CHECKS,
+         "transmittance": ChannelParams._CHECKS["transmittance"],
+         "path_transmittance": check_fraction, "modulation_var": check_nonneg}
 
 
 class SecondMoments(NamedTuple):
@@ -229,9 +217,7 @@ class AttackVariances(NamedTuple):
 
 def thermal_quadrature_variance(mean_photon_number):
     """Quadrature variance 2*n0 + 1 of a thermal mode, in shot-noise units."""
-    violations = []
-    n0 = check_nonneg(mean_photon_number, "mean_photon_number", violations)
-    raise_violations(violations)
+    [n0] = check_args(_ARGS, mean_photon_number=mean_photon_number)
     return 2.0 * n0 + 1.0
 
 
@@ -242,10 +228,8 @@ def modulation_variance(alice_attenuation, mean_photon_number):
     noise after the attenuator, i.e. the quantity playing the role of
     the modulation variance of an actively modulated protocol.
     """
-    violations = []
-    e0 = check_fraction(alice_attenuation, "alice_attenuation", violations)
-    n0 = check_nonneg(mean_photon_number, "mean_photon_number", violations)
-    raise_violations(violations)
+    e0, n0 = check_args(_ARGS, alice_attenuation=alice_attenuation,
+                        mean_photon_number=mean_photon_number)
     return e0 * n0
 
 
@@ -258,9 +242,7 @@ def outgoing_quadrature_variance(alice_attenuation, mean_photon_number):
 def tap_quadrature_variance(alice_attenuation, mean_photon_number, transmittance):
     """Quadrature variance V_A * (1 - T) / 2 + 1 of the eavesdropper's ideal
     conjugate reading of the channel's tapped port."""
-    violations = []
-    t = check_fraction(transmittance, "transmittance", violations)
-    raise_violations(violations)
+    [t] = check_args(_ARGS, transmittance=transmittance)
     v = modulation_variance(alice_attenuation, mean_photon_number)
     return v * (1.0 - t) / 2.0 + 1.0
 
@@ -277,11 +259,8 @@ def optimal_estimator_gain(mean_photon_number, mode_overlap, alice_attenuation,
 
     with detector efficiency eta and noise variance nu.
     """
-    violations = []
-    n0 = check_nonneg(mean_photon_number, "mean_photon_number", violations)
-    a = check_fraction(mode_overlap, "mode_overlap", violations, allow_zero=True)
-    e0 = check_fraction(alice_attenuation, "alice_attenuation", violations)
-    raise_violations(violations)
+    n0, a, e0 = check_args(_ARGS, mean_photon_number=mean_photon_number,
+                           mode_overlap=mode_overlap, alice_attenuation=alice_attenuation)
     eta = alice_channel.efficiency
     nu = alice_channel.noise_variance
     return n0 * a * math.sqrt(2.0 * e0 * eta) / (
@@ -302,11 +281,8 @@ def preparation_excess_noise(modulation_var, alice_attenuation, alice_channel,
     For perfect overlap (a=1) this vanishes as eta0 -> 0; for a < 1 it
     approaches the floor V_A*(1-a^2).
     """
-    violations = []
-    v = check_nonneg(modulation_var, "modulation_var", violations)
-    e0 = check_fraction(alice_attenuation, "alice_attenuation", violations)
-    a = check_fraction(mode_overlap, "mode_overlap", violations, allow_zero=True)
-    raise_violations(violations)
+    v, e0, a = check_args(_ARGS, modulation_var=modulation_var,
+                          alice_attenuation=alice_attenuation, mode_overlap=mode_overlap)
     return _excess_noise(v, e0, alice_channel.efficiency, alice_channel.noise_variance, a)
 
 
@@ -345,11 +321,9 @@ def quadrature_second_moments(mean_photon_number, alice_channel, bob_channel,
         cross     = sqrt(eta_a * eta_b') * n0 * a / 2,
         where eta_b' = path_transmittance * eta_b.
     """
-    violations = []
-    n0 = check_nonneg(mean_photon_number, "mean_photon_number", violations)
-    a = check_fraction(mode_overlap, "mode_overlap", violations, allow_zero=True)
-    eta_path = check_fraction(path_transmittance, "path_transmittance", violations)
-    raise_violations(violations)
+    n0, a, eta_path = check_args(_ARGS, mean_photon_number=mean_photon_number,
+                                 mode_overlap=mode_overlap,
+                                 path_transmittance=path_transmittance)
     eta_a = alice_channel.efficiency
     nu_a = alice_channel.noise_variance
     eta_b = eta_path * bob_channel.efficiency
@@ -390,11 +364,8 @@ def beamsplit_attack_variances(modulation_var, alice_attenuation, transmittance,
         conditional_on_eve : variance of Bob's reading given the
             eavesdropper's ideal measurement of the tapped mode.
     """
-    violations = []
-    v = check_nonneg(modulation_var, "modulation_var", violations)
-    e0 = check_fraction(alice_attenuation, "alice_attenuation", violations)
-    t = check_fraction(transmittance, "transmittance", violations)
-    raise_violations(violations)
+    v, e0, t = check_args(_ARGS, modulation_var=modulation_var,
+                          alice_attenuation=alice_attenuation, transmittance=transmittance)
     eta_a = alice_channel.efficiency
     nu_a = alice_channel.noise_variance
     eta_b = bob_channel.efficiency
@@ -443,9 +414,7 @@ def attenuation_security_threshold(transmittance, alice_channel):
     detector channel. For a lossless channel (T = 1) no beam-splitting
     attack exists and the threshold is infinite (``math.inf``).
     """
-    violations = []
-    t = check_fraction(transmittance, "transmittance", violations)
-    raise_violations(violations)
+    [t] = check_args(_ARGS, transmittance=transmittance)
     if t == 1.0:
         return math.inf
     eta = alice_channel.efficiency

@@ -27,12 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import tables
-from .errors import BatchSizeError, ParameterError, is_integer, is_real
-from .model import SystemConfig
+from .errors import (
+    BatchSizeError,
+    ParameterError,
+    check_args,
+    check_integer,
+    check_record,
+    is_real,
+)
+from .model import SourceParams, SystemConfig
 
 __all__ = [
     "CHUNK_SIZE",
@@ -73,18 +81,10 @@ class RunSpec:
     seed: int
     n_blocks: int = 10
 
-    def __post_init__(self):
-        violations = []
-        if not (is_integer(self.n_samples) and self.n_samples >= 1):
-            violations.append(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
-        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
-            violations.append(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if not (is_integer(self.n_blocks) and self.n_blocks >= 1):
-            violations.append(f"n_blocks must be an integer >= 1, got {self.n_blocks!r}")
-        if violations:
-            raise ParameterError(violations)
-        for name in ("n_samples", "seed", "n_blocks"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+    _CHECKS = {"n_samples": partial(check_integer, minimum=1),
+               "seed": partial(check_integer, bits=64),
+               "n_blocks": partial(check_integer, minimum=1)}
+    __post_init__ = check_record
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +136,8 @@ def thermal_quadratures(rng, mean_photon_number, size):
     units). Successive calls, and calls on independent generators, give
     independent draws.
     """
-    violations = []
-    if not (is_real(mean_photon_number) and mean_photon_number >= 0):
-        violations.append(
-            f"mean_photon_number must be finite and >= 0, got {mean_photon_number!r}")
-    if violations:
-        raise ParameterError(violations)
-    scale = math.sqrt(2.0 * float(mean_photon_number) + 1.0)
+    [n0] = check_args(SourceParams._CHECKS, mean_photon_number=mean_photon_number)
+    scale = math.sqrt(2.0 * n0 + 1.0)
     return scale * rng.standard_normal(size)
 
 

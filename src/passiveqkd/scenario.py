@@ -5,28 +5,45 @@ the Monte Carlo run, and optional sweep/key-rate sections. Two rules
 guard against the classic unit mistake in this domain:
 
 * Quantities are linear (fractions, shot-noise units) unless the key
-  carries an explicit ``_db`` suffix; dB keys convert at this boundary
-  and nowhere else.
+  carries an explicit ``_db`` suffix; dB keys must be <= 0 and convert
+  at this boundary and nowhere else.
 * All eight detector parameters (two arms, two parties, efficiency and
   noise each) must be named explicitly; there are no defaults.
 
-Validation is collect-then-fail: every violated constraint in the file
-is reported in one ``ParameterError``.
+The parser checks shape and units only: JSON objects, unknown and
+required keys, keys that exclude each other, value types and the dB
+sign. Value ranges live once, in the ``_CHECKS`` of the record each value
+belongs to; the parser runs those rules on every value present under its
+dotted path (``system.source.mode_overlap must be <= 1, got 1.5``) and
+reports every violation in the file in one ``ParameterError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 
-from .errors import ParameterError, is_integer, is_real
+from .errors import (
+    ParameterError,
+    check_corr,
+    check_fields,
+    check_fraction,
+    check_nonneg,
+    check_record,
+    is_integer,
+    is_real,
+    optional,
+    raise_violations,
+)
 from .model import (
     ChannelParams,
     ConjugateDetector,
     DetectorChannel,
     SourceParams,
     SystemConfig,
+    transmittance_from_length,
 )
 from .sampling import RunSpec
 
@@ -52,16 +69,18 @@ DEFAULT_N0_GRID = (10.0, 25.0, 50.0, 100.0, 200.0, 400.0, 880.0)
 DEFAULT_ETA_TOT_DB_GRID = tuple(float(-5 * k) for k in range(10))
 DEFAULT_LENGTH_KM_GRID = tuple(float(5 * k) for k in range(25))
 
-# Run size when the scenario has no run section or leaves a field out.
+# Samples per run when the scenario does not say; n_blocks defaults to RunSpec's.
 _DEFAULT_N_SAMPLES = 500_000
-_DEFAULT_N_BLOCKS = 10
 
 
 def linear_from_db(db):
     """Convert a dB attenuation/transmittance value to linear: 10^(db/10)."""
     if not is_real(db):
         raise ParameterError([f"dB value must be a finite number, got {db!r}"])
-    return 10.0 ** (float(db) / 10.0)
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ParameterError([f"dB value {db!r} overflows a linear float"]) from None
 
 
 def db_from_linear(value):
@@ -90,6 +109,10 @@ class MeasuredPointSpec:
     corr_mean: float | None = None
     corr_std: float | None = None
 
+    _CHECKS = {"alice_attenuation": check_fraction, "transmittance": check_fraction,
+               "corr_mean": optional(check_corr), "corr_std": optional(check_nonneg)}
+    __post_init__ = check_record
+
     @property
     def path_transmittance(self):
         return self.alice_attenuation * self.transmittance
@@ -100,6 +123,9 @@ class KeyRateOptions:
     optimize_alice_attenuation: bool = False
     attenuation_db_per_km: float = 0.2
 
+    _CHECKS = {"attenuation_db_per_km": check_nonneg}
+    __post_init__ = check_record
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -107,6 +133,7 @@ class Scenario:
 
     ``alice_attenuation``, ``channel``, and ``run`` stay optional at
     parse time; each CLI command states which of them it requires.
+    ``efficiency`` is the scenario's ``reconciliation_efficiency``.
     """
 
     source: SourceParams
@@ -121,20 +148,18 @@ class Scenario:
     keyrate: KeyRateOptions = field(default_factory=KeyRateOptions)
     measured_points: tuple = ()
 
+    _CHECKS = {"efficiency": check_fraction}
+    __post_init__ = check_record
+
     def system_config(self, **overrides):
         """Build the SystemConfig, with optional field overrides.
 
         Raises if ``alice_attenuation`` is unset and not overridden;
         a missing channel section defaults to a lossless channel.
         """
-        values = dict(
-            source=self.source,
-            alice_attenuation=self.alice_attenuation,
-            channel=self.channel if self.channel is not None else ChannelParams(1.0),
-            alice_detector=self.alice_detector,
-            bob_detector=self.bob_detector,
-            eavesdropper_tap=self.eavesdropper_tap,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(SystemConfig)}
+        if values["channel"] is None:
+            values["channel"] = ChannelParams(1.0)
         values.update(overrides)
         if values["alice_attenuation"] is None:
             raise ParameterError(
@@ -143,224 +168,158 @@ class Scenario:
 
     def run_spec(self, *, seed=None, n_samples=None, n_blocks=None):
         """Build the RunSpec, applying CLI overrides over scenario values."""
-        base_samples = self.run.n_samples if self.run else _DEFAULT_N_SAMPLES
-        base_blocks = self.run.n_blocks if self.run else _DEFAULT_N_BLOCKS
-        base_seed = self.run.seed if self.run else None
-        seed = base_seed if seed is None else seed
-        if seed is None:
+        values = asdict(self.run) if self.run else {"n_samples": _DEFAULT_N_SAMPLES}
+        given = {"n_samples": n_samples, "seed": seed, "n_blocks": n_blocks}
+        values.update((key, value) for key, value in given.items() if value is not None)
+        if "seed" not in values:
             raise ParameterError(
                 ["a seed is required: set run.seed in the scenario or pass --seed"])
-        return RunSpec(
-            n_samples=base_samples if n_samples is None else n_samples,
-            seed=seed,
-            n_blocks=base_blocks if n_blocks is None else n_blocks,
-        )
+        return RunSpec(**values)
 
 
-def _expect_mapping(node, where, violations):
+# JSON value types by annotation text (the record modules postpone
+# annotations): a test, and how a violation names the type.
+_KINDS = {"float": (is_real, "a finite number"), "int": (is_integer, "an integer"),
+          "bool": (lambda value: isinstance(value, bool), "true or false")}
+
+
+def _object(node, allowed, where, violations):
+    """True if ``node`` is a JSON object; each key not ``allowed`` is a violation."""
     if not isinstance(node, dict):
         violations.append(f"{where} must be a JSON object, got {type(node).__name__}")
         return False
+    violations.extend(f"unknown key '{key}' in {where}" for key in node
+                      if key not in allowed)
     return True
 
 
-def _reject_unknown(node, allowed, where, violations):
-    for key in node:
-        if key not in allowed:
-            violations.append(f"unknown key '{key}' in {where}")
-
-
-def _number(node, key, where, violations, *, required=True, default=None,
-            minimum=None, maximum=None, exclusive_min=False):
+def _get(node, key, where, violations, *, kind="float", required=True):
+    """``node[key]`` if it is of JSON type ``kind``, else None; a wrong type
+    and a missing required key are violations."""
     if key not in node:
         if required:
             violations.append(f"{where}.{key} is required")
-        return default
-    value = node[key]
-    if not is_real(value):
-        violations.append(f"{where}.{key} must be a finite number, got {value!r}")
-        return default
-    if minimum is not None and (value <= minimum if exclusive_min else value < minimum):
-        op = ">" if exclusive_min else ">="
-        violations.append(f"{where}.{key} must be {op} {minimum}, got {value!r}")
-        return default
-    if maximum is not None and value > maximum:
-        violations.append(f"{where}.{key} must be <= {maximum}, got {value!r}")
-        return default
-    return float(value)
+        return None
+    is_kind, name = _KINDS[kind]
+    if not is_kind(node[key]):
+        violations.append(f"{where}.{key} must be {name}, got {node[key]!r}")
+        return None
+    return node[key]
 
 
-def _integer(node, key, where, violations, *, required=True, default=None, minimum=0):
-    if key not in node:
-        if required:
-            violations.append(f"{where}.{key} is required")
-        return default
-    value = node[key]
-    if not is_integer(value):
-        violations.append(f"{where}.{key} must be an integer, got {value!r}")
-        return default
-    if value < minimum:
-        violations.append(f"{where}.{key} must be >= {minimum}, got {value!r}")
-        return default
-    return value
+def _record(cls, values, where, violations, start):
+    """Run ``cls``'s field rules on the values read (None: absent) under
+    their dotted paths, then build the record from them; None if any
+    violation was added since ``start``."""
+    present = {key: value for key, value in values.items() if value is not None}
+    checked = check_fields(cls._CHECKS, present, violations, where)
+    return cls(**checked) if len(violations) == start else None
 
 
-def _boolean(node, key, where, violations, *, default=False):
-    if key not in node:
-        return default
-    value = node[key]
-    if not isinstance(value, bool):
-        violations.append(f"{where}.{key} must be true or false, got {value!r}")
-        return default
-    return value
+def _parse_record(cls, node, where, violations, **defaults):
+    """``cls`` from a JSON object of its fields, each of the JSON type of its
+    annotation, and required unless the record or ``defaults`` has a default."""
+    start = len(violations)
+    if not _object(node, [f.name for f in fields(cls)], where, violations):
+        return None
+    values = {f.name: _get(node, f.name, where, violations, kind=f.type,
+                           required=f.default is MISSING and f.name not in defaults)
+              for f in fields(cls)}
+    for key, default in defaults.items():
+        if values[key] is None:
+            values[key] = default
+    return _record(cls, values, where, violations, start)
 
 
 def _transmittance_pair(node, key, where, violations, *, required):
-    """Resolve a linear/dB key pair like transmittance / transmittance_db."""
+    """The linear value of a key pair like transmittance / transmittance_db."""
     db_key = key + "_db"
-    has_lin = key in node
-    has_db = db_key in node
-    if has_lin and has_db:
+    if key in node and db_key in node:
         violations.append(f"{where} must set exactly one of '{key}' and '{db_key}'")
-        return None
-    if not has_lin and not has_db:
+    elif key in node:
+        return _get(node, key, where, violations)
+    elif db_key not in node:
         if required:
             violations.append(f"{where} must set '{key}' or '{db_key}'")
-        return None
-    if has_lin:
-        return _number(node, key, where, violations, minimum=0.0,
-                       exclusive_min=True, maximum=1.0)
-    db = _number(node, db_key, where, violations, maximum=0.0)
-    return None if db is None else linear_from_db(db)
-
-
-def _parse_detector_channel(node, where, violations):
-    if not _expect_mapping(node, where, violations):
-        return None
-    _reject_unknown(node, {"efficiency", "noise_variance"}, where, violations)
-    eff = _number(node, "efficiency", where, violations, minimum=0.0,
-                  exclusive_min=True, maximum=1.0)
-    noise = _number(node, "noise_variance", where, violations, minimum=0.0)
-    if eff is None or noise is None:
-        return None
-    return DetectorChannel(efficiency=eff, noise_variance=noise)
+    else:
+        db = _get(node, db_key, where, violations)
+        if db is not None and db > 0:
+            violations.append(f"{where}.{db_key} must be <= 0, got {db!r}")
+        elif db is not None:
+            return linear_from_db(db)
+    return None
 
 
 def _parse_detector(node, where, violations):
-    if not _expect_mapping(node, where, violations):
+    start = len(violations)
+    if not _object(node, ("x", "p"), where, violations):
         return None
-    _reject_unknown(node, {"x", "p"}, where, violations)
     arms = {}
     for arm in ("x", "p"):
         if arm not in node:
             violations.append(f"{where}.{arm} is required (no detector defaults)")
             continue
-        parsed = _parse_detector_channel(node[arm], f"{where}.{arm}", violations)
-        if parsed is not None:
-            arms[arm] = parsed
-    if len(arms) != 2:
-        return None
-    return ConjugateDetector(x=arms["x"], p=arms["p"])
+        arms[arm] = _parse_record(DetectorChannel, node[arm], f"{where}.{arm}",
+                                  violations)
+    return ConjugateDetector(**arms) if len(violations) == start else None
 
 
 def _parse_channel(node, where, violations):
-    if not _expect_mapping(node, where, violations):
+    start = len(violations)
+    allowed = ("transmittance", "transmittance_db", "length_km", "attenuation_db_per_km")
+    if not _object(node, allowed, where, violations):
         return None
-    allowed = {"transmittance", "transmittance_db", "length_km", "attenuation_db_per_km"}
-    _reject_unknown(node, allowed, where, violations)
-    has_direct = "transmittance" in node or "transmittance_db" in node
-    has_fiber = "length_km" in node
-    if has_direct and has_fiber:
+    if "length_km" not in node:
+        if "attenuation_db_per_km" in node:
+            violations.append(f"{where}.attenuation_db_per_km requires length_km")
+        t = _transmittance_pair(node, "transmittance", where, violations, required=True)
+        return _record(ChannelParams, {"transmittance": t}, where, violations, start)
+    if "transmittance" in node or "transmittance_db" in node:
         violations.append(
             f"{where} must describe the channel by transmittance or by fibre "
             "length, not both")
         return None
-    if has_fiber:
-        length = _number(node, "length_km", where, violations, minimum=0.0)
-        gamma = _number(node, "attenuation_db_per_km", where, violations,
-                        required=False, default=0.2, minimum=0.0)
-        if length is None or gamma is None:
-            return None
-        return ChannelParams.from_fiber(length, gamma)
-    if "attenuation_db_per_km" in node:
-        violations.append(f"{where}.attenuation_db_per_km requires length_km")
-    t = _transmittance_pair(node, "transmittance", where, violations, required=True)
-    if t is None:
+    fibre = {"length_km": _get(node, "length_km", where, violations),
+             "attenuation_db_per_km": _get(node, "attenuation_db_per_km", where,
+                                           violations, required=False)}
+    if fibre["attenuation_db_per_km"] is None:
+        fibre["attenuation_db_per_km"] = 0.2
+    fibre = check_fields(ChannelParams._CHECKS, fibre, violations, where)
+    if len(violations) > start:
         return None
-    return ChannelParams(transmittance=t)
+    fibre["transmittance"] = transmittance_from_length(**fibre)
+    return _record(ChannelParams, fibre, where, violations, start)
 
 
-def _parse_source(node, where, violations):
-    if not _expect_mapping(node, where, violations):
+def _parse_system(node, where, violations):
+    start = len(violations)
+    allowed = ("source", "alice_attenuation", "alice_attenuation_db", "channel",
+               "alice_detector", "bob_detector", "eavesdropper_tap")
+    if not _object(node, allowed, where, violations):
         return None
-    _reject_unknown(node, {"mean_photon_number", "mode_overlap"}, where, violations)
-    n0 = _number(node, "mean_photon_number", where, violations, minimum=0.0)
-    overlap = _number(node, "mode_overlap", where, violations, minimum=0.0, maximum=1.0)
-    if n0 is None or overlap is None:
-        return None
-    return SourceParams(mean_photon_number=n0, mode_overlap=overlap)
-
-
-def _parse_system(node, violations):
-    where = "system"
-    if not _expect_mapping(node, where, violations):
-        return None
-    allowed = {"source", "alice_attenuation", "alice_attenuation_db", "channel",
-               "alice_detector", "bob_detector", "eavesdropper_tap"}
-    _reject_unknown(node, allowed, where, violations)
-
-    source = None
-    if "source" in node:
-        source = _parse_source(node["source"], f"{where}.source", violations)
-    else:
-        violations.append(f"{where}.source is required")
-
-    detectors = {}
-    for party in ("alice_detector", "bob_detector"):
-        if party not in node:
-            violations.append(f"{where}.{party} is required")
+    system = {}
+    for key, parse in (("source", partial(_parse_record, SourceParams)),
+                       ("alice_detector", _parse_detector),
+                       ("bob_detector", _parse_detector)):
+        if key not in node:
+            violations.append(f"{where}.{key} is required")
             continue
-        parsed = _parse_detector(node[party], f"{where}.{party}", violations)
-        if parsed is not None:
-            detectors[party] = parsed
-
-    attenuation = _transmittance_pair(node, "alice_attenuation", where, violations,
-                                      required=False)
-    channel = None
+        system[key] = parse(node[key], f"{where}.{key}", violations)
+    system["alice_attenuation"] = _transmittance_pair(
+        node, "alice_attenuation", where, violations, required=False)
     if "channel" in node:
-        channel = _parse_channel(node["channel"], f"{where}.channel", violations)
-    tap = _boolean(node, "eavesdropper_tap", where, violations)
-    if source is None or len(detectors) != 2:
-        return None
-    return dict(source=source, alice_detector=detectors["alice_detector"],
-                bob_detector=detectors["bob_detector"],
-                alice_attenuation=attenuation, channel=channel,
-                eavesdropper_tap=tap)
+        system["channel"] = _parse_channel(node["channel"], f"{where}.channel",
+                                           violations)
+    system["eavesdropper_tap"] = _get(node, "eavesdropper_tap", where, violations,
+                                      kind="bool", required=False)
+    system = {key: value for key, value in system.items() if value is not None}
+    system = check_fields(SystemConfig._CHECKS, system, violations, where)
+    return system if len(violations) == start else None
 
 
-def _parse_run(node, violations):
-    where = "run"
-    if not _expect_mapping(node, where, violations):
+def _parse_sweep(node, where, violations):
+    if not _object(node, ("variable", "values"), where, violations):
         return None
-    _reject_unknown(node, {"n_samples", "seed", "n_blocks"}, where, violations)
-    n_samples = _integer(node, "n_samples", where, violations, required=False,
-                         default=_DEFAULT_N_SAMPLES, minimum=1)
-    seed = _integer(node, "seed", where, violations, minimum=0)
-    n_blocks = _integer(node, "n_blocks", where, violations, required=False,
-                        default=_DEFAULT_N_BLOCKS, minimum=1)
-    if seed is None or n_samples is None or n_blocks is None:
-        return None
-    if seed >= 2**64:
-        violations.append(f"{where}.seed must be < 2^64, got {seed!r}")
-        return None
-    return RunSpec(n_samples=n_samples, seed=seed, n_blocks=n_blocks)
-
-
-def _parse_sweep(node, violations):
-    where = "sweep"
-    if not _expect_mapping(node, where, violations):
-        return None
-    _reject_unknown(node, {"variable", "values"}, where, violations)
     variable = node.get("variable")
     if variable not in SWEEP_VARIABLES:
         violations.append(
@@ -371,52 +330,33 @@ def _parse_sweep(node, violations):
     if not isinstance(values, list) or not values:
         violations.append(f"{where}.values must be a non-empty list of numbers")
         return None
-    cleaned = []
-    for i, value in enumerate(values):
-        if not is_real(value):
-            violations.append(f"{where}.values[{i}] must be a finite number, got {value!r}")
-            continue
-        cleaned.append(float(value))
-    if len(cleaned) != len(values):
-        return None
-    return Sweep(variable=variable, values=tuple(cleaned))
-
-
-def _parse_keyrate(node, violations):
-    where = "keyrate"
-    if not _expect_mapping(node, where, violations):
-        return None
-    _reject_unknown(node, {"optimize_alice_attenuation", "attenuation_db_per_km"},
-                    where, violations)
-    optimize = _boolean(node, "optimize_alice_attenuation", where, violations)
-    gamma = _number(node, "attenuation_db_per_km", where, violations,
-                    required=False, default=0.2, minimum=0.0)
-    if gamma is None:
-        return None
-    return KeyRateOptions(optimize_alice_attenuation=optimize,
-                          attenuation_db_per_km=gamma)
+    bad = [f"{where}.values[{i}] must be a finite number, got {value!r}"
+           for i, value in enumerate(values) if not is_real(value)]
+    violations.extend(bad)
+    return None if bad else Sweep(variable, tuple(float(value) for value in values))
 
 
 def _parse_measured_point(node, where, violations):
-    if not _expect_mapping(node, where, violations):
+    start = len(violations)
+    allowed = ("alice_attenuation", "alice_attenuation_db", "transmittance",
+               "transmittance_db", "corr_mean", "corr_std")
+    if not _object(node, allowed, where, violations):
         return None
-    allowed = {"alice_attenuation", "alice_attenuation_db", "transmittance",
-               "transmittance_db", "corr_mean", "corr_std"}
-    _reject_unknown(node, allowed, where, violations)
-    attenuation = _transmittance_pair(node, "alice_attenuation", where, violations,
-                                      required=True)
-    t = _transmittance_pair(node, "transmittance", where, violations, required=True)
-    corr_mean = _number(node, "corr_mean", where, violations, required=False,
-                        minimum=-1.0, maximum=1.0)
-    corr_std = _number(node, "corr_std", where, violations, required=False,
-                       minimum=0.0)
-    if (corr_mean is None) != (corr_std is None):
+    values = {key: _transmittance_pair(node, key, where, violations, required=True)
+              for key in ("alice_attenuation", "transmittance")}
+    for key in ("corr_mean", "corr_std"):
+        values[key] = _get(node, key, where, violations, required=False)
+    if ("corr_mean" in node) != ("corr_std" in node):
         violations.append(f"{where} must set corr_mean and corr_std together")
+    return _record(MeasuredPointSpec, values, where, violations, start)
+
+
+def _parse_measured_points(node, where, violations):
+    if not isinstance(node, list):
+        violations.append(f"scenario.{where} must be a list")
         return None
-    if attenuation is None or t is None:
-        return None
-    return MeasuredPointSpec(alice_attenuation=attenuation, transmittance=t,
-                             corr_mean=corr_mean, corr_std=corr_std)
+    return tuple(_parse_measured_point(entry, f"{where}[{i}]", violations)
+                 for i, entry in enumerate(node))
 
 
 def parse_scenario(document):
@@ -425,64 +365,27 @@ def parse_scenario(document):
     Raises ``ParameterError`` listing every violated constraint.
     """
     violations = []
-    if not isinstance(document, dict):
-        raise ParameterError(
-            [f"scenario must be a JSON object, got {type(document).__name__}"])
-    allowed = {"system", "run", "reconciliation_efficiency", "sweep", "keyrate",
-               "measured_points"}
-    _reject_unknown(document, allowed, "scenario", violations)
-
-    system = None
-    if "system" in document:
-        system = _parse_system(document["system"], violations)
-    else:
-        violations.append("scenario.system is required")
-
-    run = None
-    if "run" in document:
-        run = _parse_run(document["run"], violations)
-
-    efficiency = _number(document, "reconciliation_efficiency", "scenario",
-                         violations, required=False, default=0.95,
-                         minimum=0.0, exclusive_min=True, maximum=1.0)
-
-    sweep = None
-    if "sweep" in document:
-        sweep = _parse_sweep(document["sweep"], violations)
-
-    keyrate = KeyRateOptions()
-    if "keyrate" in document:
-        parsed = _parse_keyrate(document["keyrate"], violations)
-        if parsed is not None:
-            keyrate = parsed
-
-    points = []
-    if "measured_points" in document:
-        node = document["measured_points"]
-        if not isinstance(node, list):
-            violations.append("scenario.measured_points must be a list")
-        else:
-            for i, entry in enumerate(node):
-                parsed = _parse_measured_point(entry, f"measured_points[{i}]",
-                                               violations)
-                if parsed is not None:
-                    points.append(parsed)
-
-    if violations or system is None:
-        raise ParameterError(violations or ["scenario.system is required"])
-    return Scenario(
-        source=system["source"],
-        alice_detector=system["alice_detector"],
-        bob_detector=system["bob_detector"],
-        alice_attenuation=system["alice_attenuation"],
-        channel=system["channel"],
-        eavesdropper_tap=system["eavesdropper_tap"],
-        run=run,
-        efficiency=efficiency,
-        sweep=sweep,
-        keyrate=keyrate,
-        measured_points=tuple(points),
-    )
+    sections = {"system": _parse_system,
+                "run": partial(_parse_record, RunSpec, n_samples=_DEFAULT_N_SAMPLES),
+                "sweep": _parse_sweep,
+                "keyrate": partial(_parse_record, KeyRateOptions),
+                "measured_points": _parse_measured_points}
+    if not _object(document, {*sections, "reconciliation_efficiency"}, "scenario",
+                   violations):
+        raise ParameterError(violations)
+    parsed = {}
+    for key, parse in sections.items():
+        if key in document:
+            parsed[key] = parse(document[key], key, violations)
+        elif key == "system":
+            violations.append("scenario.system is required")
+    efficiency = _get(document, "reconciliation_efficiency", "scenario", violations,
+                      required=False)
+    if efficiency is not None:
+        parsed["efficiency"] = Scenario._CHECKS["efficiency"](
+            efficiency, "scenario.reconciliation_efficiency", violations)
+    raise_violations(violations)
+    return Scenario(**parsed.pop("system"), **parsed)
 
 
 def load_scenario(path):
@@ -490,6 +393,6 @@ def load_scenario(path):
     with open(path, "r", encoding="utf-8") as f:
         try:
             document = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer too long to convert
             raise ParameterError([f"scenario file is not valid JSON: {exc}"]) from exc
     return parse_scenario(document)

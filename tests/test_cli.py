@@ -456,6 +456,19 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits", [401, 5000])
+def test_huge_json_integer_exits_2(tmp_path, capsys, digits):
+    """An integer beyond the float range, or too long for Python to read,
+    is a configuration error, not a traceback."""
+    text = json.dumps(base_document()).replace(
+        '"mean_photon_number": 100.0', '"mean_photon_number": 1' + "0" * (digits - 1))
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_unwritable_out_exits_4(scenario_file, capsys):
     rc = main(["simulate", "--scenario", scenario_file(base_document()),
                "--out", "/nonexistent-dir/x.csv"])

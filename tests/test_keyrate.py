@@ -9,6 +9,7 @@ import math
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,19 @@ def test_key_rate_point_resolves_bare_length(split_80km):
     opt = pq.optimize_attenuation(config, length_km=80.0)
     assert opt.rate == pytest.approx(
         pq.optimize_attenuation(config, transmittance=t).rate, rel=1e-12)
+
+
+def test_underflowing_transmittance_is_a_parameter_error(link_config):
+    """A distance whose T underflows to 0.0 is rejected like T = 0 itself,
+    before anything divides by T."""
+    with pytest.raises(pq.ParameterError) as at_zero:
+        pq.key_rate_point(link_config, transmittance=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pq.ParameterError) as far:
+            pq.key_rate_point(link_config, length_km=20000.0)
+    assert far.value.violations == at_zero.value.violations == [
+        "transmittance must be > 0, got 0.0"]
 
 
 def test_oracle_parity_random_tuples(alice_x, bob_x):

@@ -1,6 +1,8 @@
 """Scenario documents: parsing, validation, unit rules, and defaults."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,6 +88,8 @@ def test_db_conversion_round_trip():
         pq.db_from_linear(0.0)
     with pytest.raises(pq.ParameterError):
         pq.linear_from_db(float("nan"))
+    with pytest.raises(pq.ParameterError):
+        pq.linear_from_db(4000)
 
 
 def test_db_keys():
@@ -136,6 +140,132 @@ def test_collects_all_violations():
     assert "run.seed is required" in text
     assert "sweep.variable must be one of" in text
     assert len(err.value.violations) >= 6
+
+
+def test_huge_integer_is_a_violation():
+    """An int beyond the float range is not a finite number, to the parser
+    and to the record alike."""
+    doc = full_document()
+    doc["system"]["source"]["mean_photon_number"] = 10**400
+    with pytest.raises(pq.ParameterError) as err:
+        pq.parse_scenario(doc)
+    assert err.value.violations == [
+        f"system.source.mean_photon_number must be a finite number, got {10**400!r}"]
+    with pytest.raises(pq.ParameterError, match="mean_photon_number"):
+        pq.SourceParams(10**400, 0.9)
+
+
+def _channel_db(doc):
+    doc["system"]["channel"] = {"transmittance_db": -4000}
+
+
+def _channel_fibre(doc):
+    doc["system"]["channel"] = {"length_km": 1e6}
+
+
+def _attenuation_db(doc):
+    del doc["system"]["alice_attenuation"]
+    doc["system"]["alice_attenuation_db"] = -4000
+
+
+def _point_attenuation_db(doc):
+    doc["measured_points"][1]["alice_attenuation_db"] = -4000
+
+
+def _point_transmittance_db(doc):
+    doc["measured_points"][1]["transmittance_db"] = -4000
+
+
+@pytest.mark.parametrize("where, edit", [
+    ("system.channel.transmittance", _channel_db),
+    ("system.channel.transmittance", _channel_fibre),
+    ("system.alice_attenuation", _attenuation_db),
+    ("measured_points[1].alice_attenuation", _point_attenuation_db),
+    ("measured_points[1].transmittance", _point_transmittance_db),
+])
+def test_underflow_to_zero_is_a_path_violation(where, edit):
+    """A dB value or fibre length whose linear value underflows to 0.0 is
+    one more violation under its path, collected with the others."""
+    doc = full_document()
+    edit(doc)
+    doc["reconciliation_efficiency"] = 1.5
+    with pytest.raises(pq.ParameterError) as err:
+        pq.parse_scenario(doc)
+    assert sorted(err.value.violations) == sorted([
+        f"{where} must be > 0, got 0.0",
+        "scenario.reconciliation_efficiency must be <= 1, got 1.5"])
+
+
+def _config(value):
+    return replace(pq.parse_scenario(full_document()).system_config(),
+                   alice_attenuation=value)
+
+
+def _scenario(value):
+    return replace(pq.parse_scenario(full_document()), efficiency=value)
+
+
+# (scenario path, record field, bad value, the record built with it)
+PARITY_CASES = [
+    ("system.alice_detector.x.efficiency", "efficiency", 0.0,
+     lambda v: pq.DetectorChannel(v, 0.17)),
+    ("system.bob_detector.p.efficiency", "efficiency", 1.5,
+     lambda v: pq.DetectorChannel(v, 0.17)),
+    ("system.alice_detector.p.noise_variance", "noise_variance", -0.1,
+     lambda v: pq.DetectorChannel(0.43, v)),
+    ("system.source.mean_photon_number", "mean_photon_number", -1.0,
+     lambda v: pq.SourceParams(v, 0.96)),
+    ("system.source.mode_overlap", "mode_overlap", 1.5,
+     lambda v: pq.SourceParams(900.0, v)),
+    ("system.source.mode_overlap", "mode_overlap", -0.5,
+     lambda v: pq.SourceParams(900.0, v)),
+    ("system.alice_attenuation", "alice_attenuation", 0.0, _config),
+    ("system.alice_attenuation", "alice_attenuation", 1.5, _config),
+    ("system.channel.transmittance", "transmittance", 1.5,
+     lambda v: pq.ChannelParams(v)),
+    ("system.channel.length_km", "length_km", -10.0,
+     lambda v: pq.ChannelParams(0.5, length_km=v)),
+    ("system.channel.attenuation_db_per_km", "attenuation_db_per_km", -0.2,
+     lambda v: pq.ChannelParams(0.5, attenuation_db_per_km=v)),
+    ("run.n_samples", "n_samples", 0, lambda v: pq.RunSpec(v, 1)),
+    ("run.seed", "seed", -1, lambda v: pq.RunSpec(100, v)),
+    ("run.seed", "seed", 2**64, lambda v: pq.RunSpec(100, v)),
+    ("run.n_blocks", "n_blocks", 0, lambda v: pq.RunSpec(100, 1, v)),
+    ("scenario.reconciliation_efficiency", "efficiency", 0.0, _scenario),
+    ("scenario.reconciliation_efficiency", "efficiency", 1.1, _scenario),
+    ("keyrate.attenuation_db_per_km", "attenuation_db_per_km", -0.2,
+     lambda v: pq.KeyRateOptions(attenuation_db_per_km=v)),
+    ("measured_points[0].alice_attenuation", "alice_attenuation", 1.5,
+     lambda v: pq.MeasuredPointSpec(v, 0.69)),
+    ("measured_points[0].transmittance", "transmittance", 0.0,
+     lambda v: pq.MeasuredPointSpec(0.0009, v)),
+    ("measured_points[0].corr_mean", "corr_mean", 1.5,
+     lambda v: pq.MeasuredPointSpec(0.0009, 0.69, v, 0.01)),
+    ("measured_points[0].corr_std", "corr_std", -0.01,
+     lambda v: pq.MeasuredPointSpec(0.0009, 0.69, 0.31, v)),
+]
+
+
+@pytest.mark.parametrize("path, field, value, build", PARITY_CASES)
+def test_parser_reports_the_record_rule(path, field, value, build):
+    """Each range rule lives once, on its record: the parser's violation is
+    the record's own, with the dotted path in place of the field name."""
+    with pytest.raises(pq.ParameterError) as own:
+        build(value)
+    [message] = own.value.violations
+    assert message.startswith(field + " ")
+
+    doc = full_document()
+    if path.startswith("system.channel.") and field != "transmittance":
+        doc["system"]["channel"] = {"length_km": 10.0}
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    node = doc
+    for key in keys[1 if keys[0] == "scenario" else 0:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(pq.ParameterError) as parsed:
+        pq.parse_scenario(doc)
+    assert parsed.value.violations == [path + message[len(field):]]
 
 
 def test_unknown_keys_rejected_at_every_level():
