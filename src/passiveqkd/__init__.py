@@ -20,168 +20,18 @@ All variances are expressed in shot-noise units (vacuum variance 1) and
 all rates in bits per channel use.
 """
 
-from .errors import (
-    BatchSizeError,
-    DegenerateDataError,
-    ModelInconsistencyError,
-    NumericalDomainError,
-    ParameterError,
-    PassiveQkdError,
-    UnidentifiableFitError,
-)
-from .estimation import (
-    CorrEstimate,
-    FitResult,
-    MutualInfoEstimate,
-    blocked_correlation,
-    empirical_mutual_info,
-    fit_mode_overlap,
-    read_points_csv,
-    write_fit_report,
-)
-from .keyrate import (
-    ATTENUATION_BOUNDS,
-    HolevoResult,
-    KeyRateResult,
-    MeasuredKeyRate,
-    NoiseBudget,
-    bosonic_entropy,
-    channel_added_noise,
-    detector_added_noise,
-    distance_cutoff,
-    holevo_bound,
-    key_rate_from_measurement,
-    key_rate_point,
-    mutual_information_bits,
-    noise_budget,
-    optimize_attenuation,
-    secure_key_rate,
-    total_added_noise,
-    transmittance_from_length,
-)
-from .model import (
-    AttackVariances,
-    ChannelParams,
-    ConjugateDetector,
-    DetectorChannel,
-    SecondMoments,
-    SourceParams,
-    SystemConfig,
-    attenuation_security_threshold,
-    beamsplit_attack_variances,
-    conditional_uncertainty,
-    correlation_coefficient,
-    modulation_variance,
-    mutual_information_from_correlation,
-    mutual_information_from_variances,
-    optimal_estimator_gain,
-    outgoing_quadrature_variance,
-    preparation_excess_noise,
-    quadrature_second_moments,
-    tap_quadrature_variance,
-    thermal_quadrature_variance,
-)
-from .sampling import (
-    CHUNK_SIZE,
-    DEFAULT_MEMORY_LIMIT,
-    RunSpec,
-    SampleBatch,
-    derive_point_seed,
-    empirical_conditional_variance,
-    read_sample_csv,
-    simulate_batch,
-    thermal_quadratures,
-    write_sample_csv,
-)
-from .scenario import (
-    DEFAULT_ETA_TOT_DB_GRID,
-    DEFAULT_LENGTH_KM_GRID,
-    DEFAULT_N0_GRID,
-    KeyRateOptions,
-    MeasuredPointSpec,
-    Scenario,
-    Sweep,
-    db_from_linear,
-    linear_from_db,
-    load_scenario,
-    parse_scenario,
-)
+from . import errors, estimation, keyrate, model, sampling, scenario
+from .errors import *
+from .estimation import *
+from .keyrate import *
+from .model import *
+from .sampling import *
+from .scenario import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATTENUATION_BOUNDS",
-    "AttackVariances",
-    "BatchSizeError",
-    "CHUNK_SIZE",
-    "ChannelParams",
-    "ConjugateDetector",
-    "CorrEstimate",
-    "DEFAULT_ETA_TOT_DB_GRID",
-    "DEFAULT_LENGTH_KM_GRID",
-    "DEFAULT_MEMORY_LIMIT",
-    "DEFAULT_N0_GRID",
-    "DegenerateDataError",
-    "DetectorChannel",
-    "FitResult",
-    "HolevoResult",
-    "KeyRateOptions",
-    "KeyRateResult",
-    "MeasuredKeyRate",
-    "MeasuredPointSpec",
-    "ModelInconsistencyError",
-    "MutualInfoEstimate",
-    "NoiseBudget",
-    "NumericalDomainError",
-    "ParameterError",
-    "PassiveQkdError",
-    "RunSpec",
-    "SampleBatch",
-    "Scenario",
-    "SecondMoments",
-    "SourceParams",
-    "Sweep",
-    "SystemConfig",
-    "UnidentifiableFitError",
-    "attenuation_security_threshold",
-    "beamsplit_attack_variances",
-    "blocked_correlation",
-    "bosonic_entropy",
-    "channel_added_noise",
-    "conditional_uncertainty",
-    "correlation_coefficient",
-    "db_from_linear",
-    "derive_point_seed",
-    "detector_added_noise",
-    "distance_cutoff",
-    "empirical_conditional_variance",
-    "empirical_mutual_info",
-    "fit_mode_overlap",
-    "holevo_bound",
-    "key_rate_from_measurement",
-    "key_rate_point",
-    "linear_from_db",
-    "load_scenario",
-    "modulation_variance",
-    "mutual_information_bits",
-    "mutual_information_from_correlation",
-    "mutual_information_from_variances",
-    "noise_budget",
-    "optimal_estimator_gain",
-    "optimize_attenuation",
-    "outgoing_quadrature_variance",
-    "parse_scenario",
-    "preparation_excess_noise",
-    "quadrature_second_moments",
-    "read_points_csv",
-    "read_sample_csv",
-    "secure_key_rate",
-    "simulate_batch",
-    "tap_quadrature_variance",
-    "thermal_quadrature_variance",
-    "thermal_quadratures",
-    "total_added_noise",
-    "transmittance_from_length",
-    "write_fit_report",
-    "write_sample_csv",
-]
+# Each module lists its public names once, in its own __all__; the
+# package exports their union.
+__all__ = sorted(name for module in (errors, estimation, keyrate, model, sampling,
+                                     scenario)
+                 for name in module.__all__)

@@ -34,6 +34,7 @@ from .errors import (
     NumericalDomainError,
     ParameterError,
     UnidentifiableFitError,
+    raise_violations,
 )
 from .scenario import (
     DEFAULT_ETA_TOT_DB_GRID,
@@ -220,6 +221,22 @@ def _measured_point_rows(scenario, run):
     return rows
 
 
+def _curve_transmittances(scenario, grid):
+    """The fibre transmittance of each curve distance, every one checked
+    before any rate work; a violation names the grid entry it came from."""
+    where = "sweep.values" if scenario.sweep else "default length grid"
+    violations, ts = [], []
+    for i, length in enumerate(grid):
+        try:
+            ts.append(model.ChannelParams.from_fiber(
+                length, scenario.keyrate.attenuation_db_per_km).transmittance)
+        except ParameterError as exc:
+            violations += [f"{where}[{i}] (length_km {length:g}): {violation}"
+                           for violation in exc.violations]
+    raise_violations(violations)
+    return ts
+
+
 def _cmd_keyrate(args):
     scenario = load_scenario(args.scenario)
     grid = _sweep_grid(scenario, "keyrate", "length_km", DEFAULT_LENGTH_KM_GRID)
@@ -231,8 +248,7 @@ def _cmd_keyrate(args):
              "keyrate.optimize_alice_attenuation is true"])
     base = scenario.system_config(
         alice_attenuation=scenario.alice_attenuation if not optimize else 1.0)
-    ts = [keyrate.transmittance_from_length(length, options.attenuation_db_per_km)
-          for length in grid]
+    ts = _curve_transmittances(scenario, grid)
     e0s = [base.alice_attenuation] * len(ts)
     if optimize:
         # One vectorised search over the whole curve.

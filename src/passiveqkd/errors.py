@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the argument rules.
 
 The library is strict-fail: invalid parameters raise instead of being
 clamped, because silently repaired inputs would corrupt parameter-sweep
@@ -10,15 +10,30 @@ The argument checks below are shared by every module. ``is_real`` and
 ``check_*`` rule appends a message starting with the name it is given for
 a bad value, and returns a good one as a Python number, so numpy scalars
 of any precision are computed with exactly as the Python numbers they
-equal. Each record states its fields' rules once, in ``_CHECKS``, which
-``check_record`` runs; ``check_args`` and ``check_fields`` run the same
-rules on function arguments and, under dotted paths, on scenario values.
+equal. ``rule`` builds one from a test of the value as a Python float;
+the generic ones are ``check_real``, ``check_positive``, ``check_nonneg``
+and ``check_corr``, besides ``check_fraction`` and ``check_integer``. Each
+record states its fields' rules once, in ``_CHECKS``, which
+``check_record`` runs; each module states its functions' argument rules
+once, in ``_ARGS``, which ``check_args`` runs; ``check_fields`` runs the
+same rules under dotted paths on scenario values. Checks that relate two
+arguments are written out where they apply.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+__all__ = [
+    "PassiveQkdError",
+    "ParameterError",
+    "ModelInconsistencyError",
+    "NumericalDomainError",
+    "DegenerateDataError",
+    "UnidentifiableFitError",
+    "BatchSizeError",
+]
 
 
 def is_real(value):
@@ -48,19 +63,22 @@ def check_fraction(value, name, violations, *, allow_zero=False):
     return value
 
 
-def check_nonneg(value, name, violations):
-    if not (is_real(value) and value >= 0):
-        violations.append(f"{name} must be finite and >= 0, got {value!r}")
+def rule(holds, requirement):
+    """The check that a value is a finite real number ``x`` for which
+    ``holds(x)`` is true, with ``x`` a Python float; a violation reads
+    "<name> must <requirement>, got <value>"."""
+    def check(value, name, violations):
+        if is_real(value) and holds(float(value)):
+            return float(value)
+        violations.append(f"{name} must {requirement}, got {value!r}")
         return value
-    return float(value)
+    return check
 
 
-def check_corr(value, name, violations):
-    """A correlation coefficient, in [-1, 1]."""
-    if not (is_real(value) and abs(value) <= 1):
-        violations.append(f"{name} must lie in [-1, 1], got {value!r}")
-        return value
-    return float(value)
+check_real = rule(lambda x: True, "be a finite number")
+check_positive = rule(lambda x: x > 0, "be finite and > 0")
+check_nonneg = rule(lambda x: x >= 0, "be finite and >= 0")
+check_corr = rule(lambda x: abs(x) <= 1, "lie in [-1, 1]")
 
 
 def check_integer(value, name, violations, *, minimum=0, bits=None):

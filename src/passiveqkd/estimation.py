@@ -28,9 +28,8 @@ from .errors import (
     check_corr,
     check_integer,
     check_nonneg,
+    check_positive,
     check_record,
-    is_real,
-    raise_violations,
 )
 from .model import (
     _CORR_LIMIT,
@@ -73,6 +72,11 @@ class CorrEstimate:
     __post_init__ = check_record
 
 
+# Argument rules: those of CorrEstimate's fields, and of fit_mode_overlap's
+# weight floor.
+_ARGS = {**CorrEstimate._CHECKS, "std_floor": check_positive}
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Weighted-least-squares mode-overlap fit.
@@ -109,14 +113,11 @@ def blocked_correlation(x_alice, x_bob, n_blocks):
     """
     x = np.asarray(x_alice, dtype=float)
     y = np.asarray(x_bob, dtype=float)
-    violations = []
+    [n_blocks] = check_args(_ARGS, n_blocks=n_blocks)
     if x.ndim != 1 or y.ndim != 1:
-        violations.append("x_alice and x_bob must be one-dimensional columns")
-    elif x.shape[0] != y.shape[0]:
-        violations.append(
-            f"column lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    n_blocks = check_integer(n_blocks, "n_blocks", violations, minimum=2)
-    raise_violations(violations)
+        raise ParameterError(["x_alice and x_bob must be one-dimensional columns"])
+    if x.shape[0] != y.shape[0]:
+        raise ParameterError([f"column lengths differ: {x.shape[0]} vs {y.shape[0]}"])
     block_size = x.shape[0] // n_blocks
     if block_size < 2:
         raise ParameterError(
@@ -150,7 +151,7 @@ def _as_mean_std(value):
     if isinstance(value, CorrEstimate):
         return value.mean_corr, value.std_dev
     mean, std = value
-    return tuple(check_args(CorrEstimate._CHECKS, mean_corr=mean, std_dev=std))
+    return tuple(check_args(_ARGS, mean_corr=mean, std_dev=std))
 
 
 def fit_mode_overlap(points, alice_channel, bob_channel, path_transmittance=1.0,
@@ -180,8 +181,7 @@ def fit_mode_overlap(points, alice_channel, bob_channel, path_transmittance=1.0,
     pts = list(points)
     if not pts:
         raise ParameterError(["points must contain at least one (n0, estimate)"])
-    if not (is_real(std_floor) and std_floor > 0):
-        raise ParameterError([f"std_floor must be > 0, got {std_floor!r}"])
+    [std_floor] = check_args(_ARGS, std_floor=std_floor)
     num = 0.0
     den = 0.0
     gs = []

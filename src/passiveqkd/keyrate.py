@@ -44,22 +44,25 @@ from .errors import (
     NumericalDomainError,
     ParameterError,
     check_args,
-    check_fields,
     check_fraction,
     check_nonneg,
+    check_positive,
     is_real,
     raise_violations,
+    rule,
 )
 from .estimation import empirical_mutual_info
 from .model import (
     _ARGS as _MODEL_ARGS,
     _excess_noise,
+    _fibre_transmittance,
     correlation_coefficient,
     mutual_information_from_correlation,
     transmittance_from_length,
 )
 
 __all__ = [
+    "ATTENUATION_BOUNDS",
     "NoiseBudget",
     "KeyRateResult",
     "MeasuredKeyRate",
@@ -81,11 +84,17 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Argument rules of the public functions: the model's, plus the
-# reconciliation efficiency and the noise terms.
-_ARGS = {**_MODEL_ARGS, "efficiency": check_fraction, "excess_noise": check_nonneg,
-         "channel_noise": check_nonneg, "detector_noise": check_nonneg,
-         "total_noise": check_nonneg}
+# Argument rules of the public functions: the model's, plus those of the
+# quantities only this module takes. Each end of optimize_attenuation's
+# bounds is a value of alice_attenuation.
+_ARGS = {**_MODEL_ARGS, "efficiency": check_fraction,
+         "v": rule(lambda v: v >= 1.0, "be >= 1"),
+         "excess_noise": check_nonneg, "channel_noise": check_nonneg,
+         "detector_noise": check_nonneg, "total_noise": check_nonneg,
+         "mutual_info": check_nonneg, "holevo_info": check_nonneg,
+         "bounds[0]": _MODEL_ARGS["alice_attenuation"],
+         "bounds[1]": _MODEL_ARGS["alice_attenuation"],
+         "lo_km": check_nonneg, "hi_km": check_nonneg, "xtol_km": check_positive}
 
 # Attenuator search window for optimised-preparation rates.
 ATTENUATION_BOUNDS = (1e-8, 1.0)
@@ -169,11 +178,6 @@ class HolevoResult(NamedTuple):
     intermediates: tuple
 
 
-def _require(cond, message, violations):
-    if not cond:
-        violations.append(message)
-
-
 def detector_added_noise(channel):
     """Conjugate-detector added noise (1 + (1 - eta) + 2*nu)/eta, referred
     to the detector input. The leading 1 is the extra vacuum unit of
@@ -201,11 +205,8 @@ def total_added_noise(channel_noise, detector_noise, transmittance):
 def mutual_information_bits(v, total_noise):
     """Shannon information log2((V + chi_tot) / (1 + chi_tot)) between the
     modulation data and Bob's outcome, bits per channel use."""
-    violations = []
-    _require(is_real(v) and v >= 1.0, f"v must be >= 1, got {v!r}", violations)
-    chi_tot = check_nonneg(total_noise, "total_noise", violations)
-    raise_violations(violations)
-    return float(_mutual_info(float(v), chi_tot))
+    v, chi_tot = check_args(_ARGS, v=v, total_noise=total_noise)
+    return float(_mutual_info(v, chi_tot))
 
 
 def bosonic_entropy(mean_photons):
@@ -239,23 +240,19 @@ def holevo_bound(v, transmittance, channel_noise, detector_noise, total_noise):
     HolevoResult
         (chi, eigenvalues, intermediates) with intermediates = (A, B, C, D).
     """
-    violations = []
-    _require(is_real(v) and v >= 1.0, f"v must be >= 1, got {v!r}", violations)
-    check_fields(_ARGS, dict(transmittance=transmittance, channel_noise=channel_noise,
-                             detector_noise=detector_noise, total_noise=total_noise),
-                 violations)
-    raise_violations(violations)
-    args = [np.float64(x) for x in (v, transmittance, channel_noise, detector_noise,
-                                    total_noise)]
+    args = [np.float64(x) for x in check_args(
+        _ARGS, v=v, transmittance=transmittance, channel_noise=channel_noise,
+        detector_noise=detector_noise, total_noise=total_noise)]
     v, t, chi_line, chi_det, chi_tot = args
+    violations = []
     loss_floor = 1.0 / t - 1.0
-    _require(chi_line >= loss_floor - 1e-9 * max(1.0, loss_floor),
-             f"channel_noise {channel_noise!r} is below the pure-loss "
-             f"floor 1/T - 1 = {float(loss_floor)!r}", violations)
+    if chi_line < loss_floor - 1e-9 * max(1.0, loss_floor):
+        violations.append(f"channel_noise {channel_noise!r} is below the pure-loss "
+                          f"floor 1/T - 1 = {float(loss_floor)!r}")
     consistent = chi_line + chi_det / t
-    _require(abs(chi_tot - consistent) <= 1e-9 * max(1.0, abs(consistent)),
-             f"total_noise {total_noise!r} does not equal channel_noise + "
-             f"detector_noise/transmittance = {float(consistent)!r}", violations)
+    if abs(chi_tot - consistent) > 1e-9 * max(1.0, abs(consistent)):
+        violations.append(f"total_noise {total_noise!r} does not equal channel_noise + "
+                          f"detector_noise/transmittance = {float(consistent)!r}")
     raise_violations(violations)
     return _holevo_result(*_holevo(*args))
 
@@ -267,14 +264,9 @@ def secure_key_rate(efficiency, mutual_info, holevo_info):
     is reported as-is rather than truncated, so that sweeps can locate
     the crossing.
     """
-    violations = []
-    f = check_fraction(efficiency, "efficiency", violations)
-    _require(is_real(mutual_info), f"mutual_info must be finite and >= 0, "
-             f"got {mutual_info!r}", violations)
-    _require(is_real(holevo_info), f"holevo_info must be finite and >= 0, "
-             f"got {holevo_info!r}", violations)
-    raise_violations(violations)
-    rate = float(_secure_rate(f, np.float64(mutual_info), np.float64(holevo_info)))
+    f, mutual, chi = check_args(_ARGS, efficiency=efficiency, mutual_info=mutual_info,
+                                holevo_info=holevo_info)
+    rate = _secure_rate(f, mutual, chi)
     return rate, rate > 0.0
 
 
@@ -513,12 +505,11 @@ def optimize_attenuation(config, *, efficiency=0.95, transmittance=None,
     noise, so a boundary optimum is returned as the exact bound.
     """
     lo, hi = bounds
-    violations = []
-    _require(is_real(lo) and is_real(hi) and 0.0 < lo < hi <= 1.0,
-             f"bounds must satisfy 0 < lo < hi <= 1, got {bounds!r}", violations)
-    raise_violations(violations)
+    lo, hi = check_args(_ARGS, **{"bounds[0]": lo, "bounds[1]": hi})
+    if not lo < hi:
+        raise ParameterError([f"bounds must satisfy lo < hi, got {bounds!r}"])
     f, t = _point_args(config, efficiency, transmittance, length_km)
-    e0, _ = _best_attenuation(config, f, [t], (float(lo), float(hi)))
+    e0, _ = _best_attenuation(config, f, [t], (lo, hi))
     return key_rate_point(config.replace(alice_attenuation=float(e0[0])),
                           efficiency=efficiency, transmittance=transmittance,
                           length_km=length_km)
@@ -585,17 +576,14 @@ def distance_cutoff(config, *, efficiency=0.95, attenuation_db_per_km=0.2,
     the bracket in one vectorised pass and keeps the cell holding the
     first sign change, until the bracket is at most ``xtol_km`` wide.
     """
-    violations = []
-    _require(is_real(lo_km) and is_real(hi_km) and 0.0 <= lo_km < hi_km,
-             f"need 0 <= lo_km < hi_km, got ({lo_km!r}, {hi_km!r})", violations)
-    _require(is_real(xtol_km) and xtol_km > 0.0,
-             f"xtol_km must be > 0, got {xtol_km!r}", violations)
-    f = check_fraction(efficiency, "efficiency", violations)
-    raise_violations(violations)
+    f, gamma, lo_km, hi_km, xtol_km = check_args(
+        _ARGS, efficiency=efficiency, attenuation_db_per_km=attenuation_db_per_km,
+        lo_km=lo_km, hi_km=hi_km, xtol_km=xtol_km)
+    if not lo_km < hi_km:
+        raise ParameterError([f"need lo_km < hi_km, got ({lo_km!r}, {hi_km!r})"])
 
     def rates(lengths):
-        t = np.array([transmittance_from_length(x, attenuation_db_per_km)
-                      for x in lengths])
+        t = np.array([_fibre_transmittance(x, gamma) for x in lengths.tolist()])
         if optimize:
             return _best_attenuation(config, f, t)[1]
         return _chain(config, f, config.alice_attenuation, t).rate

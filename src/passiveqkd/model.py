@@ -41,10 +41,10 @@ from .errors import (
     check_args,
     check_fraction,
     check_nonneg,
+    check_positive,
     check_record,
-    is_real,
     optional,
-    raise_violations,
+    rule,
 )
 
 __all__ = [
@@ -76,10 +76,12 @@ _CORR_LIMIT = 1.0 - 1e-15
 
 def transmittance_from_length(length_km, attenuation_db_per_km=0.2):
     """Fibre transmittance T = 10^(-gamma * L / 10)."""
-    violations = []
-    length = check_nonneg(length_km, "length_km", violations)
-    gamma = check_nonneg(attenuation_db_per_km, "attenuation_db_per_km", violations)
-    raise_violations(violations)
+    return _fibre_transmittance(*check_args(
+        _ARGS, length_km=length_km, attenuation_db_per_km=attenuation_db_per_km))
+
+
+def _fibre_transmittance(length, gamma):
+    """``transmittance_from_length`` without checks."""
     return 10.0 ** (-gamma * length / 10.0)
 
 
@@ -192,11 +194,14 @@ class SystemConfig:
         return _replace(self, **kwargs)
 
 
-# The rule of each ranged argument of the functions below: that of the
-# record field of the same name, or of a quantity no record holds.
+# The rule of each ranged argument of this module's functions: that of
+# the record field of the same name, or of a quantity no record holds.
 _ARGS = {**SourceParams._CHECKS, **SystemConfig._CHECKS,
          "transmittance": ChannelParams._CHECKS["transmittance"],
-         "path_transmittance": check_fraction, "modulation_var": check_nonneg}
+         "length_km": check_nonneg, "attenuation_db_per_km": check_nonneg,
+         "path_transmittance": check_fraction, "modulation_var": check_nonneg,
+         "total_variance": check_positive, "conditional_variance": check_positive,
+         "corr": rule(lambda corr: abs(corr) <= _CORR_LIMIT, "satisfy |corr| < 1")}
 
 
 class SecondMoments(NamedTuple):
@@ -380,28 +385,19 @@ def beamsplit_attack_variances(modulation_var, alice_attenuation, transmittance,
 def mutual_information_from_variances(total_variance, conditional_variance):
     """Mutual information log2(total/conditional) of jointly Gaussian data,
     in bits per channel use."""
-    violations = []
-    if not (is_real(total_variance) and total_variance > 0):
-        violations.append(f"total_variance must be finite and > 0, got {total_variance!r}")
-    if not (is_real(conditional_variance) and conditional_variance > 0):
-        violations.append(
-            f"conditional_variance must be finite and > 0, got {conditional_variance!r}")
-    raise_violations(violations)
-    if conditional_variance > total_variance:
+    total, conditional = check_args(_ARGS, total_variance=total_variance,
+                                    conditional_variance=conditional_variance)
+    if conditional > total:
         raise ModelInconsistencyError(
             f"conditional variance {conditional_variance!r} exceeds total "
             f"variance {total_variance!r}; mutual information would be negative")
-    return math.log2(float(total_variance) / float(conditional_variance))
+    return math.log2(total / conditional)
 
 
 def mutual_information_from_correlation(corr):
     """Mutual information log2(1/(1-corr^2)) of a bivariate Gaussian pair,
     in bits per channel use."""
-    violations = []
-    if not (is_real(corr) and abs(corr) <= _CORR_LIMIT):
-        violations.append(f"corr must satisfy |corr| < 1, got {corr!r}")
-    raise_violations(violations)
-    corr = float(corr)
+    [corr] = check_args(_ARGS, corr=corr)
     # -log1p(-r^2)/ln 2 keeps precision for small correlations.
     return -math.log1p(-corr * corr) / math.log(2.0)
 

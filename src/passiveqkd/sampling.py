@@ -37,8 +37,8 @@ from .errors import (
     ParameterError,
     check_args,
     check_integer,
+    check_real,
     check_record,
-    is_real,
 )
 from .model import SourceParams, SystemConfig
 
@@ -71,6 +71,9 @@ _TERMS_PER_QUAD = 13
 
 _SAMPLE_COLUMNS = ("x1", "x2", "x3", "x4", "p1", "p2", "p3", "p4")
 _REQUIRED_COLUMNS = ("x1", "x2", "x3", "p1", "p2", "p3")
+
+# Argument rules: the source's photon number, and the estimator gain.
+_ARGS = {**SourceParams._CHECKS, "gain": check_real}
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def thermal_quadratures(rng, mean_photon_number, size):
     units). Successive calls, and calls on independent generators, give
     independent draws.
     """
-    [n0] = check_args(SourceParams._CHECKS, mean_photon_number=mean_photon_number)
+    [n0] = check_args(_ARGS, mean_photon_number=mean_photon_number)
     scale = math.sqrt(2.0 * n0 + 1.0)
     return scale * rng.standard_normal(size)
 
@@ -275,8 +278,7 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *,
 def empirical_conditional_variance(batch, gain):
     """Sample variance of (x1 - gain * x2): the residual uncertainty of
     Alice's scaled estimate of the outgoing quadrature."""
-    if not is_real(gain):
-        raise ParameterError([f"gain must be a finite number, got {gain!r}"])
+    [gain] = check_args(_ARGS, gain=gain)
     if batch.n_samples == 0:
         raise ParameterError(["batch is empty"])
     resid = batch.x1 - gain * batch.x2

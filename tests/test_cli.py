@@ -8,6 +8,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -405,6 +406,29 @@ def test_keyrate_requires_attenuation_exits_2(tmp_path, scenario_file, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "optimize_alice_attenuation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_keyrate_bad_distance_names_its_entry(tmp_path, scenario_file, capsys,
+                                              optimize):
+    """A distance whose T underflows to 0, or a negative one, is rejected
+    before any rate work, naming its entry in the sweep."""
+    doc = base_document()
+    doc["system"]["alice_attenuation"] = 0.0009
+    doc["keyrate"] = {"optimize_alice_attenuation": optimize}
+    out = tmp_path / "rate.csv"
+    for values, violation in (
+            ([0, 20000], "sweep.values[1] (length_km 20000): "
+                         "transmittance must be > 0, got 0.0"),
+            ([0, 5, -5], "sweep.values[2] (length_km -5): "
+                         "length_km must be finite and >= 0, got -5.0")):
+        doc["sweep"] = {"variable": "length_km", "values": values}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["keyrate", "--scenario", scenario_file(doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error:\n  - {violation}\n"
+    assert not out.exists()
 
 
 def test_keyrate_measured_points_inline(tmp_path, scenario_file):

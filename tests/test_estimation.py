@@ -84,12 +84,23 @@ def test_corr_estimate_validation():
                         n_dropped=-1)
 
 
-def test_numpy_scalar_inputs():
+def test_numpy_scalar_inputs(alice_x, bob_x, bench_config):
     est = pq.CorrEstimate(np.float32(0.5), np.float64(0.01), np.int64(10), np.int32(100))
     assert est.n_blocks == 10
     rng = np.random.default_rng(5)
     x, y = _bivariate(rng, 0.5, 1000)
     assert pq.blocked_correlation(x, y, np.int64(10)) == pq.blocked_correlation(x, y, 10)
+    points = [(n0, (pq.correlation_coefficient(n0, 0.82, alice_x, bob_x), 1e-4))
+              for n0 in (10.0, 100.0, 880.0)]
+    floor = np.float32(1e-3)
+    fit = pq.fit_mode_overlap(points, alice_x, bob_x, std_floor=floor)
+    assert fit == pq.fit_mode_overlap(points, alice_x, bob_x, std_floor=float(floor))
+    assert [type(value) for value in vars(fit).values()] == [float, float, float, int,
+                                                             bool]
+    batch = pq.simulate_batch(bench_config, pq.RunSpec(1000, 5, 2))
+    gain = np.float32(0.3)
+    assert pq.empirical_conditional_variance(batch, gain) == \
+        pq.empirical_conditional_variance(batch, float(gain))
 
 
 def test_block_std_scaling():

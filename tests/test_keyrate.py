@@ -406,3 +406,79 @@ def test_numpy_scalar_inputs(link_config):
         float(np.float32(3.7)))
     with pytest.raises(pq.ParameterError):
         pq.transmittance_from_length(True)
+    v = np.float32(12.5)
+    assert pq.mutual_information_bits(v, np.int64(3)) == \
+        pq.mutual_information_bits(12.5, 3.0)
+    assert pq.holevo_bound(v, np.float32(0.5), np.float32(1.25), np.int64(2),
+                           np.float32(5.25)) == pq.holevo_bound(12.5, 0.5, 1.25, 2.0, 5.25)
+    f = np.float32(0.95)
+    rate, has_key = pq.secure_key_rate(f, np.float32(1.5), np.int64(1))
+    assert type(rate) is float and type(has_key) is bool
+    assert (rate, has_key) == pq.secure_key_rate(float(f), 1.5, 1.0)
+    lo = np.float32(1e-6)
+    assert pq.optimize_attenuation(link_config, transmittance=0.25,
+                                   bounds=(lo, np.int64(1))) == \
+        pq.optimize_attenuation(link_config, transmittance=0.25, bounds=(float(lo), 1.0))
+    cutoff = pq.distance_cutoff(link_config, lo_km=np.float32(0), hi_km=np.float32(200))
+    assert type(cutoff) is float
+    assert cutoff == pq.distance_cutoff(link_config, lo_km=0.0, hi_km=200.0)
+    gamma, xtol = np.float32(0.21), np.float32(1e-2)
+    assert pq.distance_cutoff(link_config, efficiency=f, attenuation_db_per_km=gamma,
+                              hi_km=np.int64(150), xtol_km=xtol) == \
+        pq.distance_cutoff(link_config, efficiency=float(f),
+                           attenuation_db_per_km=float(gamma), hi_km=150.0,
+                           xtol_km=float(xtol))
+
+
+@pytest.mark.parametrize("call, violations", [
+    pytest.param(lambda config: pq.transmittance_from_length(-1.0, -0.2), [
+        "length_km must be finite and >= 0, got -1.0",
+        "attenuation_db_per_km must be finite and >= 0, got -0.2"],
+        id="transmittance_from_length"),
+    pytest.param(lambda config: pq.mutual_information_from_variances(0.0, math.inf), [
+        "total_variance must be finite and > 0, got 0.0",
+        "conditional_variance must be finite and > 0, got inf"],
+        id="mutual_information_from_variances"),
+    pytest.param(lambda config: pq.mutual_information_from_correlation(-1.0), [
+        "corr must satisfy |corr| < 1, got -1.0"],
+        id="mutual_information_from_correlation"),
+    pytest.param(lambda config: pq.mutual_information_bits(0.5, -1.0), [
+        "v must be >= 1, got 0.5", "total_noise must be finite and >= 0, got -1.0"],
+        id="mutual_information_bits"),
+    pytest.param(lambda config: pq.holevo_bound(math.nan, 0.5, 1.0, 1.0, 3.0), [
+        "v must be >= 1, got nan"], id="holevo_bound"),
+    pytest.param(lambda config: pq.secure_key_rate(0.95, -1.0, math.nan), [
+        "mutual_info must be finite and >= 0, got -1.0",
+        "holevo_info must be finite and >= 0, got nan"], id="secure_key_rate"),
+    pytest.param(lambda config: pq.optimize_attenuation(
+        config, transmittance=0.5, bounds=(0.0, 1.5)), [
+        "bounds[0] must be > 0, got 0.0", "bounds[1] must be <= 1, got 1.5"],
+        id="optimize_attenuation"),
+    pytest.param(lambda config: pq.optimize_attenuation(
+        config, transmittance=0.5, bounds=(0.5, 0.5)), [
+        "bounds must satisfy lo < hi, got (0.5, 0.5)"], id="optimize_attenuation-order"),
+    pytest.param(lambda config: pq.distance_cutoff(
+        config, efficiency=0.0, attenuation_db_per_km=-0.2, lo_km=-1.0,
+        hi_km=math.inf, xtol_km=0.0), [
+        "efficiency must be > 0, got 0.0",
+        "attenuation_db_per_km must be finite and >= 0, got -0.2",
+        "lo_km must be finite and >= 0, got -1.0", "hi_km must be finite and >= 0, got inf",
+        "xtol_km must be finite and > 0, got 0.0"], id="distance_cutoff"),
+    pytest.param(lambda config: pq.distance_cutoff(config, lo_km=5, hi_km=5), [
+        "need lo_km < hi_km, got (5.0, 5.0)"], id="distance_cutoff-order"),
+    pytest.param(lambda config: pq.blocked_correlation([0.0] * 4, [1.0] * 4, 1), [
+        "n_blocks must be >= 2, got 1"], id="blocked_correlation"),
+    pytest.param(lambda config: pq.fit_mode_overlap(
+        [(10.0, (0.5, 0.1))], config.alice_detector.x, config.bob_detector.x,
+        std_floor=0.0), [
+        "std_floor must be finite and > 0, got 0.0"], id="fit_mode_overlap"),
+    pytest.param(lambda config: pq.empirical_conditional_variance(
+        pq.simulate_batch(config, pq.RunSpec(10, 1, 2)), math.inf), [
+        "gain must be a finite number, got inf"], id="empirical_conditional_variance"),
+])
+def test_argument_violation_texts(link_config, call, violations):
+    """The exact violations of each argument rule, so that a rewording is
+    deliberate."""
+    with pytest.raises(pq.ParameterError) as err:
+        call(link_config)
+    assert err.value.violations == violations

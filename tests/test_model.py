@@ -320,5 +320,14 @@ def test_numpy_scalar_inputs(alice_x, bob_x):
     corr = np.float32(0.3)
     assert pq.mutual_information_from_correlation(corr) == \
         pq.mutual_information_from_correlation(float(corr))
+    gamma = np.float32(0.23)
+    assert pq.transmittance_from_length(np.float32(40.5), gamma) == \
+        pq.transmittance_from_length(40.5, float(gamma))
+    total = np.float32(3.7)
+    info = pq.mutual_information_from_variances(total, np.int64(2))
+    assert type(info) is float
+    assert info == pq.mutual_information_from_variances(float(total), 2.0)
     with pytest.raises(pq.ParameterError):
         pq.DetectorChannel(True, 0.1)
+    with pytest.raises(pq.ParameterError):  # |corr| = 1 exactly
+        pq.mutual_information_from_correlation(np.float32(-1.0))
