@@ -139,11 +139,26 @@ def _sweep_grid(scenario, command, variable, default_grid):
     return scenario.sweep.values
 
 
+def _per_entry(scenario, variable, grid, fn):
+    """``fn`` of every grid value, all evaluated before any sampling or
+    rate work; a violation names the grid entry it came from."""
+    where = "sweep.values" if scenario.sweep else "default grid"
+    violations, results = [], []
+    for i, value in enumerate(grid):
+        try:
+            results.append(fn(value))
+        except ParameterError as exc:
+            violations += [f"{where}[{i}] ({variable} {value:g}): {violation}"
+                           for violation in exc.violations]
+    raise_violations(violations)
+    return results
+
+
 def _sweep(args, scenario, command, variable, grid, point_config):
     """Correlation sweep over ``grid``: one measured and one model
     correlation per grid value, whose config is ``point_config(value)``."""
     run = _run_spec(scenario, args)
-    configs = [point_config(value) for value in grid]
+    configs = _per_entry(scenario, variable, grid, point_config)
 
     def point(index):
         config = configs[index]
@@ -221,22 +236,6 @@ def _measured_point_rows(scenario, run):
     return rows
 
 
-def _curve_transmittances(scenario, grid):
-    """The fibre transmittance of each curve distance, every one checked
-    before any rate work; a violation names the grid entry it came from."""
-    where = "sweep.values" if scenario.sweep else "default length grid"
-    violations, ts = [], []
-    for i, length in enumerate(grid):
-        try:
-            ts.append(model.ChannelParams.from_fiber(
-                length, scenario.keyrate.attenuation_db_per_km).transmittance)
-        except ParameterError as exc:
-            violations += [f"{where}[{i}] (length_km {length:g}): {violation}"
-                           for violation in exc.violations]
-    raise_violations(violations)
-    return ts
-
-
 def _cmd_keyrate(args):
     scenario = load_scenario(args.scenario)
     grid = _sweep_grid(scenario, "keyrate", "length_km", DEFAULT_LENGTH_KM_GRID)
@@ -248,7 +247,10 @@ def _cmd_keyrate(args):
              "keyrate.optimize_alice_attenuation is true"])
     base = scenario.system_config(
         alice_attenuation=scenario.alice_attenuation if not optimize else 1.0)
-    ts = _curve_transmittances(scenario, grid)
+    gamma = options.attenuation_db_per_km
+    ts = [channel.transmittance for channel in _per_entry(
+        scenario, "length_km", grid,
+        lambda length: model.ChannelParams.from_fiber(length, gamma))]
     e0s = [base.alice_attenuation] * len(ts)
     if optimize:
         # One vectorised search over the whole curve.

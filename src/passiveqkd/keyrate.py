@@ -47,7 +47,7 @@ from .errors import (
     check_fraction,
     check_nonneg,
     check_positive,
-    is_real,
+    check_real,
     raise_violations,
     rule,
 )
@@ -88,7 +88,7 @@ _LN2 = math.log(2.0)
 # quantities only this module takes. Each end of optimize_attenuation's
 # bounds is a value of alice_attenuation.
 _ARGS = {**_MODEL_ARGS, "efficiency": check_fraction,
-         "v": rule(lambda v: v >= 1.0, "be >= 1"),
+         "v": rule(lambda v: v >= 1.0, "be >= 1"), "mean_photons": check_real,
          "excess_noise": check_nonneg, "channel_noise": check_nonneg,
          "detector_noise": check_nonneg, "total_noise": check_nonneg,
          "mutual_info": check_nonneg, "holevo_info": check_nonneg,
@@ -99,11 +99,12 @@ _ARGS = {**_MODEL_ARGS, "efficiency": check_fraction,
 # Attenuator search window for optimised-preparation rates.
 ATTENUATION_BOUNDS = (1e-8, 1.0)
 _COARSE_POINTS = 241
-# Golden-section steps after the coarse grid: they shrink the bracket of
-# two grid cells (0.15 in log eta0) below 1e-7, where the rate is flat
-# to its rounding noise.
-_GOLDEN_STEPS = 30
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Zoom rounds after the coarse grid: each probes evenly spaced log eta0
+# points across the two cells around each row's best point, which
+# shrinks the bracket 8x; seven take the two coarse cells (0.15 in log
+# eta0) to about 7e-8, where the rate is flat to its rounding noise.
+_ZOOM_PROBES = 17
+_ZOOM_ROUNDS = 7
 # Distances probed per round by distance_cutoff: three rounds bracket a
 # 200 km search to 1e-3 km.
 _CUTOFF_PROBES = 64
@@ -216,9 +217,8 @@ def bosonic_entropy(mean_photons):
     Arguments within roundoff below zero are treated as zero so that
     eigenvalues equal to 1 up to floating error are handled cleanly.
     """
-    if not is_real(mean_photons):
-        raise ParameterError([f"mean_photons must be >= 0, got {mean_photons!r}"])
-    return float(_entropy(np.float64(mean_photons)))
+    [x] = check_args(_ARGS, mean_photons=mean_photons)
+    return float(_entropy(np.float64(x)))
 
 
 def holevo_bound(v, transmittance, channel_noise, detector_noise, total_noise):
@@ -447,9 +447,10 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     """Rate-maximising attenuator transmittance for each element of ``t``.
 
     Returns the arrays (eta0, rate). All transmittances are searched
-    together: the rate on a coarse log grid over ``bounds`` for every
-    element in one pass, then a golden-section search on log(eta0) over
-    the two grid cells around each coarse optimum. A refined point
+    together, each step one ``_chain`` pass over every row: the rate on a
+    coarse log grid over ``bounds``, then zoom rounds, each of which
+    probes evenly spaced log(eta0) points across the two cells around a
+    row's best point so far and keeps the best probe. A refined point
     replaces the coarse optimum only if it beats it by more than the
     rounding noise of the rate, so a boundary optimum comes back as the
     exact bound.
@@ -468,42 +469,25 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     lam = coarse.lambdas[:, rows, best]
     noise = ulp * np.sum(lam * np.log2((lam + 1.0) / np.maximum(lam - 1.0, ulp)),
                          axis=0)
-    # The bracket ends are coarse points too, and already lost to grid[best].
-    a = np.log(grid[np.maximum(best - 1, 0)])[:, None]
-    b = np.log(grid[np.minimum(best + 1, _COARSE_POINTS - 1)])[:, None]
-
-    def eta0(u):
-        return np.clip(np.exp(u), lo, hi)
-
-    def rate(u):
-        return _chain(config, efficiency, eta0(u), t).rate
-
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = rate(c), rate(d)
-    for _ in range(_GOLDEN_STEPS):
-        left = fc >= fd  # the maximum lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        u = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
-        fu = rate(u)
-        c, d, fc, fd = (np.where(left, u, d), np.where(left, c, u),
-                        np.where(left, fu, fd), np.where(left, fc, fu))
-    take_c = fc >= fd
-    e_ref = eta0(np.where(take_c, c, d))[:, 0]
-    r_ref = np.where(take_c, fc, fd)[:, 0]
+    # The first zoom round spans the two coarse cells around each optimum.
+    half = math.log(hi / lo) / (_COARSE_POINTS - 1)
+    steps = np.linspace(-1.0, 1.0, _ZOOM_PROBES)
+    e_ref = e_best
+    for _ in range(_ZOOM_ROUNDS):
+        probes = np.clip(np.exp(np.log(e_ref)[:, None] + half * steps), lo, hi)
+        rate = _chain(config, efficiency, probes, t).rate
+        k = np.argmax(rate, axis=1)
+        e_ref, r_ref = probes[rows, k], rate[rows, k]
+        half /= (_ZOOM_PROBES - 1) / 2
     refined = r_ref > r_best + noise
     return np.where(refined, e_ref, e_best), np.where(refined, r_ref, r_best)
 
 
 def optimize_attenuation(config, *, efficiency=0.95, transmittance=None,
                          length_km=None, bounds=ATTENUATION_BOUNDS):
-    """Key rate with the attenuator transmittance optimised.
-
-    Deterministic two-stage search on a log scale: a fixed coarse grid
-    over ``bounds`` locates the basin, then a golden-section search
-    refines within the two grid cells around it. The refined point is
-    kept only if it beats the coarse optimum by more than rounding
-    noise, so a boundary optimum is returned as the exact bound.
-    """
+    """Key rate with the attenuator transmittance optimised over
+    ``bounds`` by the deterministic log-scale search of
+    ``_best_attenuation``."""
     lo, hi = bounds
     lo, hi = check_args(_ARGS, **{"bounds[0]": lo, "bounds[1]": hi})
     if not lo < hi:
@@ -583,7 +567,7 @@ def distance_cutoff(config, *, efficiency=0.95, attenuation_db_per_km=0.2,
         raise ParameterError([f"need lo_km < hi_km, got ({lo_km!r}, {hi_km!r})"])
 
     def rates(lengths):
-        t = np.array([_fibre_transmittance(x, gamma) for x in lengths.tolist()])
+        t = _fibre_transmittance(lengths, gamma)
         if optimize:
             return _best_attenuation(config, f, t)[1]
         return _chain(config, f, config.alice_attenuation, t).rate

@@ -27,10 +27,13 @@ from functools import partial
 
 from .errors import (
     ParameterError,
+    check_args,
     check_corr,
     check_fields,
     check_fraction,
     check_nonneg,
+    check_positive,
+    check_real,
     check_record,
     is_integer,
     is_real,
@@ -72,22 +75,23 @@ DEFAULT_LENGTH_KM_GRID = tuple(float(5 * k) for k in range(25))
 # Samples per run when the scenario does not say; n_blocks defaults to RunSpec's.
 _DEFAULT_N_SAMPLES = 500_000
 
+# Argument rules of the dB conversions.
+_ARGS = {"db": check_real, "value": check_positive}
+
 
 def linear_from_db(db):
     """Convert a dB attenuation/transmittance value to linear: 10^(db/10)."""
-    if not is_real(db):
-        raise ParameterError([f"dB value must be a finite number, got {db!r}"])
+    [x] = check_args(_ARGS, db=db)
     try:
-        return 10.0 ** (float(db) / 10.0)
+        return 10.0 ** (x / 10.0)
     except OverflowError:
         raise ParameterError([f"dB value {db!r} overflows a linear float"]) from None
 
 
 def db_from_linear(value):
     """Convert a linear transmittance to dB: 10 * log10(value)."""
-    if not (is_real(value) and value > 0):
-        raise ParameterError([f"linear value must be > 0, got {value!r}"])
-    return 10.0 * math.log10(value)
+    [x] = check_args(_ARGS, value=value)
+    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,18 @@
 """Shared fixtures: the reference hardware parameter set used throughout."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 import passiveqkd as pq
+
+# pytest's ``pythonpath`` setting reaches only this process; the tests that
+# start a fresh interpreter find the package through its environment.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_PATH = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+if _SRC not in _PATH:
+    os.environ["PYTHONPATH"] = os.pathsep.join([_SRC] + [p for p in _PATH if p])
 
 
 @pytest.fixture(scope="session")

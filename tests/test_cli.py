@@ -431,6 +431,44 @@ def test_keyrate_bad_distance_names_its_entry(tmp_path, scenario_file, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, variable, values, violation", [
+    ("sweep-n0", "n0", [10, -5], "sweep.values[1] (n0 -5): "
+     "mean_photon_number must be finite and >= 0, got -5.0"),
+    ("sweep-attenuation", "eta_tot_db", [-3, -4000], "sweep.values[1] "
+     "(eta_tot_db -4000): alice_attenuation must be > 0, got 0.0"),
+])
+def test_sweep_bad_value_names_its_entry(tmp_path, scenario_file, capsys, command,
+                                         variable, values, violation):
+    """A grid value that gives no valid configuration is rejected before
+    any sampling, naming its entry in the sweep."""
+    doc = base_document()
+    doc["sweep"] = {"variable": variable, "values": values}
+    out = tmp_path / "sweep.csv"
+    assert main([command, "--scenario", scenario_file(doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error:\n  - {violation}\n"
+    assert not out.exists()
+
+
+def test_sweep_errors_keep_their_order(tmp_path, scenario_file, capsys):
+    """Positive dB values are reported before any bad entry, and a missing
+    seed before a bad entry too."""
+    doc = base_document()
+    doc["sweep"] = {"variable": "eta_tot_db", "values": [3, -4000]}
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep-attenuation", "--scenario", scenario_file(doc),
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error:\n"
+        "  - eta_tot_db values must be <= 0 dB (attenuation), got [3.0]\n")
+    doc["sweep"]["values"] = [-3, -4000]
+    del doc["run"]
+    assert main(["sweep-attenuation", "--scenario", scenario_file(doc),
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error:\n  - a seed is required: set run.seed in the "
+        "scenario or pass --seed\n")
+
+
 def test_keyrate_measured_points_inline(tmp_path, scenario_file):
     doc = base_document()
     doc["system"]["source"]["mean_photon_number"] = 900.0

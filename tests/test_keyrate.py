@@ -301,6 +301,12 @@ def test_key_rate_from_measurement_split_mismatch(link_config):
         pq.key_rate_from_measurement((0.3, 0.01), config, 0.001)
 
 
+def test_distance_cutoff_paper_config(link_config):
+    """The optimised-preparation cutoff of the paper configuration."""
+    assert pq.distance_cutoff(link_config) == pytest.approx(83.07874374146564,
+                                                            abs=1e-3)
+
+
 def test_distance_cutoff_fixed_split(link_config):
     """With the attenuator held at the deployed split the rate crosses
     zero once; bisection brackets it."""
@@ -379,6 +385,23 @@ def test_curve_optimum_matches_single_distance_search(paper_curve):
     weak = config.replace(source=pq.SourceParams(1.0, 1.0))
     eta0, rate = pq.keyrate._best_attenuation(weak, efficiency, ts)
     assert np.all(eta0 == lo) and np.all(rate < 0.0)
+
+
+def test_curve_search_matches_a_fine_grid(paper_curve):
+    """At every interior optimum of the shipped curve the search's rate is
+    at least the best of a 2001-point log grid over the two coarse cells
+    around it, to within rounding."""
+    config, efficiency, ts = paper_curve
+    lo, hi = pq.ATTENUATION_BOUNDS
+    coarse = np.geomspace(lo, hi, 241)
+    eta0, rate = pq.keyrate._best_attenuation(config, efficiency, ts)
+    interior = (lo < eta0) & (eta0 < hi)
+    assert interior.sum() >= 10
+    for t, r in zip(np.array(ts)[interior], rate[interior]):
+        best = np.argmax(pq.keyrate._chain(config, efficiency, coarse, t).rate)
+        cells = coarse[max(best - 1, 0)], coarse[min(best + 1, len(coarse) - 1)]
+        fine = np.geomspace(*cells, 2001)
+        assert r >= pq.keyrate._chain(config, efficiency, fine, t).rate.max() - 1e-15
 
 
 def test_import_does_not_load_scipy():
