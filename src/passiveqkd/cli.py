@@ -251,17 +251,9 @@ def _cmd_keyrate(args):
     ts = [channel.transmittance for channel in _per_entry(
         scenario, "length_km", grid,
         lambda length: model.ChannelParams.from_fiber(length, gamma))]
-    e0s = [base.alice_attenuation] * len(ts)
-    if optimize:
-        # One vectorised search over the whole curve.
-        e0s, _ = keyrate._best_attenuation(base, scenario.efficiency, ts)
-    rows = []
-    for length, t, e0 in zip(grid, ts, e0s):
-        result = keyrate.key_rate_point(
-            base.replace(alice_attenuation=float(e0)),
-            efficiency=scenario.efficiency, transmittance=t, length_km=length)
-        rows.append((length, t, result.budget.prep_excess_noise, result.mutual_info,
-                     result.holevo_info, result.rate, result.alice_attenuation))
+    e0, c = keyrate._curve(base, scenario.efficiency, ts, optimize)
+    columns = (c.budget.prep_excess_noise, c.mutual, c.chi, c.rate, e0)
+    rows = list(zip(grid, ts, *(np.broadcast_to(x, len(ts)).tolist() for x in columns)))
     tables.write_table(args.out, "keyrate",
                        ("L_km", "T", "eps_A", "I_AB", "chi_BE", "R", "eta0"), rows)
     messages = [f"wrote {len(rows)} key-rate points to {args.out}"]

@@ -214,8 +214,10 @@ def bosonic_entropy(mean_photons):
     """Von Neumann entropy G(x) = (x+1) log2(x+1) - x log2(x) of a thermal
     state with mean photon number x; G(0) = 0.
 
-    Arguments within roundoff below zero are treated as zero so that
-    eigenvalues equal to 1 up to floating error are handled cleanly.
+    Evaluated as (log1p(x) + x*log1p(1/x))/ln 2, a sum of two positive
+    terms, which keeps full relative precision from subnormal x up to
+    the largest float. Arguments down to -1e-6 are treated as zero so
+    that eigenvalues equal to 1 up to floating error are handled cleanly.
     """
     [x] = check_args(_ARGS, mean_photons=mean_photons)
     return float(_entropy(np.float64(x)))
@@ -298,9 +300,15 @@ def _entropy(x):
     bad = x < -1e-6
     if bad.any():
         raise ParameterError([f"mean_photons must be >= 0, got {_first(bad, x)[0]!r}"])
-    pos = x > 0.0
-    y = np.where(pos, x, 1.0)
-    return np.where(pos, (y + 1.0) * np.log1p(y) / _LN2 - y * np.log2(y), 0.0)
+    # G = log1p(y) + y*log1p(1/y) in nats: two positive terms, so no digits
+    # cancel at large y, and G(0) = 0. Below 2**-1000 the second term is
+    # -y*log(y) to rounding, and 1/y would overflow for a subnormal y.
+    y = np.maximum(x, 0.0)
+    tail = y * np.log1p(1.0 / np.maximum(y, 2.0 ** -1000))
+    tiny = (y > 0.0) & (y < 2.0 ** -1000)
+    if tiny.any():
+        tail = np.where(tiny, -y * np.log(np.where(tiny, y, 1.0)), tail)
+    return (np.log1p(y) + tail) / _LN2
 
 
 def _holevo(v, t, chi_line, chi_det, chi_tot):
@@ -423,24 +431,21 @@ def key_rate_point(config, *, efficiency=0.95, transmittance=None,
     The security analysis uses the X-arm detector calibrations; the P
     arm is structurally symmetric.
     """
+    return _point(config, efficiency, transmittance, length_km, optimize=False)
+
+
+def _point(config, efficiency, transmittance, length_km, optimize,
+           bounds=ATTENUATION_BOUNDS):
+    """The KeyRateResult of one transmittance, from one ``_curve`` call."""
     efficiency, t = _point_args(config, efficiency, transmittance, length_km)
-    c = _chain(config, efficiency, np.float64(config.alice_attenuation),
-               np.float64(t))
+    e0, c = _curve(config, efficiency, t, optimize, bounds)
     hol = _holevo_result(c.chi, c.lambdas, c.abcd)
     rate = float(c.rate)
     return KeyRateResult(
-        rate=rate,
-        has_key=rate > 0.0,
-        mutual_info=float(c.mutual),
-        holevo_info=hol.chi,
-        efficiency=efficiency,
-        transmittance=t,
-        alice_attenuation=config.alice_attenuation,
-        budget=_float_budget(c.budget),
-        eigenvalues=hol.eigenvalues,
-        intermediates=hol.intermediates,
-        length_km=length_km,
-    )
+        rate=rate, has_key=rate > 0.0, mutual_info=float(c.mutual), holevo_info=hol.chi,
+        efficiency=efficiency, transmittance=t, alice_attenuation=float(e0),
+        budget=_float_budget(c.budget), eigenvalues=hol.eigenvalues,
+        intermediates=hol.intermediates, length_km=length_km)
 
 
 def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
@@ -483,6 +488,19 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     return np.where(refined, e_ref, e_best), np.where(refined, r_ref, r_best)
 
 
+def _curve(config, efficiency, t, optimize, bounds=ATTENUATION_BOUNDS):
+    """(eta0, chain) at the transmittances ``t``, an array of any shape:
+    eta0 is the rate-maximising attenuator over ``bounds`` per element
+    when ``optimize``, else the config's, and the chain is evaluated once
+    at those (eta0, T) pairs."""
+    t = np.asarray(t, dtype=float)[()]  # 0-d: a numpy scalar, cheaper to compute with
+    if optimize:
+        e0 = _best_attenuation(config, efficiency, t.ravel(), bounds)[0].reshape(t.shape)
+    else:
+        e0 = np.float64(config.alice_attenuation)
+    return e0, _chain(config, efficiency, e0, t)
+
+
 def optimize_attenuation(config, *, efficiency=0.95, transmittance=None,
                          length_km=None, bounds=ATTENUATION_BOUNDS):
     """Key rate with the attenuator transmittance optimised over
@@ -492,11 +510,8 @@ def optimize_attenuation(config, *, efficiency=0.95, transmittance=None,
     lo, hi = check_args(_ARGS, **{"bounds[0]": lo, "bounds[1]": hi})
     if not lo < hi:
         raise ParameterError([f"bounds must satisfy lo < hi, got {bounds!r}"])
-    f, t = _point_args(config, efficiency, transmittance, length_km)
-    e0, _ = _best_attenuation(config, f, [t], (lo, hi))
-    return key_rate_point(config.replace(alice_attenuation=float(e0[0])),
-                          efficiency=efficiency, transmittance=transmittance,
-                          length_km=length_km)
+    return _point(config, efficiency, transmittance, length_km, optimize=True,
+                  bounds=(lo, hi))
 
 
 def key_rate_from_measurement(estimate, config, path_transmittance, *,
@@ -528,20 +543,15 @@ def key_rate_from_measurement(estimate, config, path_transmittance, *,
              f"path transmittance {path_transmittance!r}"])
 
     model = key_rate_point(config, efficiency=f)
-    chi = model.holevo_info
     mi = empirical_mutual_info(estimate)
-    rate, has_key = secure_key_rate(f, mi.bits, chi)
-    rate_lower = f * mi.lower - chi
-    rate_upper = f * mi.upper - chi
-
     pred_corr = correlation_coefficient(
         config.source.mean_photon_number, config.source.mode_overlap,
         config.alice_detector.x, config.bob_detector.x, path_t)
-    pred_rate = f * mutual_information_from_correlation(pred_corr) - chi
-
-    central = replace(model, rate=rate, has_key=has_key, mutual_info=mi.bits)
+    infos = [mi.bits, mi.lower, mi.upper, mutual_information_from_correlation(pred_corr)]
+    rate, rate_lower, rate_upper, pred_rate = _secure_rate(
+        f, np.array(infos), model.holevo_info).tolist()
     return MeasuredKeyRate(
-        result=central,
+        result=replace(model, rate=rate, has_key=rate > 0.0, mutual_info=mi.bits),
         rate_lower=rate_lower,
         rate_upper=rate_upper,
         predicted_correlation=pred_corr,
@@ -567,10 +577,7 @@ def distance_cutoff(config, *, efficiency=0.95, attenuation_db_per_km=0.2,
         raise ParameterError([f"need lo_km < hi_km, got ({lo_km!r}, {hi_km!r})"])
 
     def rates(lengths):
-        t = _fibre_transmittance(lengths, gamma)
-        if optimize:
-            return _best_attenuation(config, f, t)[1]
-        return _chain(config, f, config.alice_attenuation, t).rate
+        return _curve(config, f, _fibre_transmittance(lengths, gamma), optimize)[1].rate
 
     edges = np.linspace(lo_km, hi_km, _CUTOFF_PROBES + 2)
     r = rates(edges)

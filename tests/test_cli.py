@@ -64,6 +64,16 @@ def csv_rows(path):
             for line in path.read_text().splitlines()[2:]]
 
 
+def assert_rows_match(rows, point_at):
+    """Each keyrate row's eps_A, I_AB, chi_BE, R and eta0 equal those of
+    the single-point result ``point_at(T)`` at the row's T."""
+    for row in rows:
+        res = point_at(row[1])
+        want = (res.budget.prep_excess_noise, res.mutual_info, res.holevo_info,
+                res.rate, res.alice_attenuation)
+        assert row[2:] == pytest.approx(want, rel=1e-15)
+
+
 @pytest.fixture()
 def scenario_file(tmp_path):
     def write(document, name="scenario.json"):
@@ -375,6 +385,7 @@ def test_keyrate_fixed_split(tmp_path, scenario_file):
                                           pq.DetectorChannel(0.51, 0.23)))
     direct = pq.key_rate_point(config, transmittance=1.0)
     assert rows[0][5] == pytest.approx(direct.rate, rel=1e-15)
+    assert_rows_match(rows, lambda t: pq.key_rate_point(config, transmittance=t))
 
 
 def test_keyrate_optimized(tmp_path, scenario_file):
@@ -397,6 +408,9 @@ def test_keyrate_optimized(tmp_path, scenario_file):
     for frow, orow in zip(fixed, opt):
         assert orow[5] >= frow[5]
         assert orow[6] != 0.0009
+    config = document_config(doc, 0.0009)
+    assert_rows_match(fixed, lambda t: pq.key_rate_point(config, transmittance=t))
+    assert_rows_match(opt, lambda t: pq.optimize_attenuation(config, transmittance=t))
 
 
 def test_keyrate_requires_attenuation_exits_2(tmp_path, scenario_file, capsys):

@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -80,6 +81,36 @@ def test_bosonic_entropy_properties():
     assert all(b > a for a, b in zip(values, values[1:]))
     assert pq.bosonic_entropy(3.7) == pytest.approx(float(oracles.entropy_g(3.7)),
                                                     rel=1e-14)
+    # No digits cancel at large x, and 1/x must not overflow at subnormal x;
+    # 400 digits carry both x + 1 and x log x for each of these.
+    for x in (1e9, 1e300, 1e-310, 5e-324):
+        with mp.workdps(400):
+            want = float(oracles.entropy_g(x))
+        assert pq.bosonic_entropy(x) == pytest.approx(want, rel=1e-14, abs=2.0 ** -1074)
+
+
+@pytest.mark.parametrize("n0, e0, length_km, chi_rel, rate_rel", [
+    (1e9, 1.0, 600.0, 5e-12, 1e-9),
+    (1e8, 0.1, 700.0, 1e-6, 1e-5),
+])
+def test_bright_source_far_out_matches_oracle(alice_x, bob_x, n0, e0, length_km,
+                                              chi_rel, rate_rel):
+    """A bright source at a long distance puts large arguments into G; chi_BE
+    and the sign of R still follow the 200-digit reference chain."""
+    t = pq.transmittance_from_length(length_km)
+    config = pq.SystemConfig(
+        source=pq.SourceParams(n0, 1.0), alice_attenuation=e0,
+        channel=pq.ChannelParams(t),
+        alice_detector=pq.ConjugateDetector(x=alice_x, p=alice_x),
+        bob_detector=pq.ConjugateDetector(x=bob_x, p=bob_x))
+    res = pq.key_rate_point(config)
+    with mp.workdps(200):
+        ref = oracles.key_rate(n0, 1.0, e0, t, alice_x.efficiency, alice_x.noise_variance,
+                               bob_x.efficiency, bob_x.noise_variance, 0.95)
+        chi, rate = float(ref["chi_be"]), float(ref["rate"])
+    assert res.holevo_info == pytest.approx(chi, rel=chi_rel)
+    assert res.rate == pytest.approx(rate, rel=rate_rel)
+    assert res.has_key is (rate > 0.0)
 
 
 def test_holevo_frozen_generic_point():
@@ -438,6 +469,12 @@ def test_numpy_scalar_inputs(link_config):
     rate, has_key = pq.secure_key_rate(f, np.float32(1.5), np.int64(1))
     assert type(rate) is float and type(has_key) is bool
     assert (rate, has_key) == pq.secure_key_rate(float(f), 1.5, 1.0)
+    split = link_config.replace(alice_attenuation=0.0009, channel=pq.ChannelParams(0.69))
+    measured = pq.key_rate_from_measurement(
+        (np.float32(0.31), np.float32(0.005)), split, np.float64(split.path_transmittance),
+        efficiency=f)
+    assert all(type(x) is float for x in (measured.rate_lower, measured.rate_upper,
+                                          measured.predicted_rate))
     lo = np.float32(1e-6)
     assert pq.optimize_attenuation(link_config, transmittance=0.25,
                                    bounds=(lo, np.int64(1))) == \
