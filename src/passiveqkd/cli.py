@@ -252,7 +252,7 @@ def _cmd_keyrate(args):
         scenario, "length_km", grid,
         lambda length: model.ChannelParams.from_fiber(length, gamma))]
     e0, c = keyrate._curve(base, scenario.efficiency, ts, optimize)
-    columns = (c.budget.prep_excess_noise, c.mutual, c.chi, c.rate, e0)
+    columns = (c.eps, c.mutual, c.chi, c.rate, e0)
     rows = list(zip(grid, ts, *(np.broadcast_to(x, len(ts)).tolist() for x in columns)))
     tables.write_table(args.out, "keyrate",
                        ("L_km", "T", "eps_A", "I_AB", "chi_BE", "R", "eta0"), rows)

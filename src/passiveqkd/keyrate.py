@@ -1,19 +1,20 @@
 """Asymptotic secure key rate against collective attacks.
 
 Reverse reconciliation with conjugate (heterodyne-style) detection on
-Bob's side. The channel of transmittance T adds the usual loss noise
-1/T - 1 plus the preparation excess noise of the passive source; Bob's
-detector adds (1 + (1 - eta) + 2*nu)/eta referred to its input. The
-rate in bits per channel use is
+Bob's side. The public noise functions refer noise to the channel input:
+loss 1/T - 1, the preparation excess noise eps of the passive source, and
+chi_det/T from Bob's detector, chi_det = (1 + (1 - eta) + 2*nu)/eta. The
+core refers it to Bob's detector input, where the channel leaves
+n_out = 1 - T + T*eps, so it never divides by T. The rate is
 
-    R = f * I_AB - chi_BE,
+    R = f * I_AB - chi_BE,    I_AB = log2(1 + T*V_A / (1 + T*eps + chi_det)),
 
-with I_AB the Shannon information of the Gaussian channel between the
-modulation data and Bob's outcome, and chi_BE the Holevo bound on the
-eavesdropper's information about Bob's outcome, computed from the
-symplectic spectra of the shared state before and after Bob's
-measurement. Negative rates are returned as-is (no secure key); the
-boolean ``has_key`` carries the security verdict.
+in bits per channel use, with I_AB the Shannon information of the
+Gaussian channel between the modulation data and Bob's outcome, and
+chi_BE the Holevo bound on the eavesdropper's information about Bob's
+outcome, computed from the symplectic spectra of the shared state before
+and after Bob's measurement. Negative rates are returned as-is (no
+secure key); the boolean ``has_key`` carries the security verdict.
 
 Numerical care: the eigenvalue discriminants A^2 - 4B and C^2 - 4D
 suffer catastrophic cancellation near degeneracy (weak modulation,
@@ -21,7 +22,7 @@ strong attenuation), so both are evaluated through exact algebraic
 factorizations,
 
     A - 2*sqrt(B) = ((1-T)*V_A - T*eps)^2            (= W^2)
-    (C - 2*sqrt(D)) * (T*(V+chi_tot))^2 = (chi_det*W + M)^2,
+    (C - 2*sqrt(D)) * (T*V + n_out + chi_det)^2 = (chi_det*W + M)^2,
     M = (1-T)*V_A + V*T*eps,
 
 which are nonnegative perfect squares, and the small root of each pair
@@ -34,7 +35,7 @@ lose ten digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +55,7 @@ from .errors import (
 from .estimation import empirical_mutual_info
 from .model import (
     _ARGS as _MODEL_ARGS,
+    _FIBRE_DB_PER_KM,
     _excess_noise,
     _fibre_transmittance,
     correlation_coefficient,
@@ -83,6 +85,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_EFFICIENCY = 0.95  # reconciliation efficiency f of a rate given none
 
 # Argument rules of the public functions: the model's, plus those of the
 # quantities only this module takes. Each end of optimize_attenuation's
@@ -207,7 +210,7 @@ def mutual_information_bits(v, total_noise):
     """Shannon information log2((V + chi_tot) / (1 + chi_tot)) between the
     modulation data and Bob's outcome, bits per channel use."""
     v, chi_tot = check_args(_ARGS, v=v, total_noise=total_noise)
-    return float(_mutual_info(v, chi_tot))
+    return float(_mutual_info((v - 1.0) / (1.0 + chi_tot)))
 
 
 def bosonic_entropy(mean_photons):
@@ -220,7 +223,7 @@ def bosonic_entropy(mean_photons):
     that eigenvalues equal to 1 up to floating error are handled cleanly.
     """
     [x] = check_args(_ARGS, mean_photons=mean_photons)
-    return float(_entropy(np.float64(x)))
+    return float(_entropy(np.float64(x), ParameterError))
 
 
 def holevo_bound(v, transmittance, channel_noise, detector_noise, total_noise):
@@ -242,21 +245,21 @@ def holevo_bound(v, transmittance, channel_noise, detector_noise, total_noise):
     HolevoResult
         (chi, eigenvalues, intermediates) with intermediates = (A, B, C, D).
     """
-    args = [np.float64(x) for x in check_args(
+    v, t, chi_line, chi_det, chi_tot = [np.float64(x) for x in check_args(
         _ARGS, v=v, transmittance=transmittance, channel_noise=channel_noise,
         detector_noise=detector_noise, total_noise=total_noise)]
-    v, t, chi_line, chi_det, chi_tot = args
     violations = []
     loss_floor = 1.0 / t - 1.0
     if chi_line < loss_floor - 1e-9 * max(1.0, loss_floor):
         violations.append(f"channel_noise {channel_noise!r} is below the pure-loss "
                           f"floor 1/T - 1 = {float(loss_floor)!r}")
-    consistent = chi_line + chi_det / t
+    consistent = _total_noise(chi_line, chi_det, t)
     if abs(chi_tot - consistent) > 1e-9 * max(1.0, abs(consistent)):
         violations.append(f"total_noise {total_noise!r} does not equal channel_noise + "
                           f"detector_noise/transmittance = {float(consistent)!r}")
     raise_violations(violations)
-    return _holevo_result(*_holevo(*args))
+    eps = np.maximum(chi_line - loss_floor, 0.0)
+    return _holevo_result(*_holevo(v, t, eps, chi_det))
 
 
 def secure_key_rate(efficiency, mutual_info, holevo_info):
@@ -275,7 +278,7 @@ def secure_key_rate(efficiency, mutual_info, holevo_info):
 # The key-rate core: the chain below runs over numpy arrays broadcast
 # against each other (one element per (eta0, T) pair) and checks every
 # element. Arguments are validated once, by the public functions above
-# and below, before they reach it.
+# and below, so a failed core check is a NumericalDomainError.
 
 def _channel_noise(t, eps):
     return 1.0 / t - 1.0 + eps
@@ -285,9 +288,8 @@ def _total_noise(chi_line, chi_det, t):
     return chi_line + chi_det / t
 
 
-def _mutual_info(v, chi_tot):
-    # log2((v + chi)/(1 + chi)) via log1p for precision when v - 1 is tiny.
-    return np.log1p((v - 1.0) / (1.0 + chi_tot)) / _LN2
+def _mutual_info(snr):
+    return np.log1p(snr) / _LN2  # log2(1 + snr), precise for a tiny snr
 
 
 def _first(bad, *arrays):
@@ -296,10 +298,10 @@ def _first(bad, *arrays):
     return [float(np.broadcast_to(a, np.shape(bad))[i]) for a in arrays]
 
 
-def _entropy(x):
+def _entropy(x, error=NumericalDomainError):
     bad = x < -1e-6
     if bad.any():
-        raise ParameterError([f"mean_photons must be >= 0, got {_first(bad, x)[0]!r}"])
+        raise error(f"mean_photons must be >= 0, got {_first(bad, x)[0]!r}")
     # G = log1p(y) + y*log1p(1/y) in nats: two positive terms, so no digits
     # cancel at large y, and G(0) = 0. Below 2**-1000 the second term is
     # -y*log(y) to rounding, and 1/y would overflow for a subnormal y.
@@ -311,14 +313,14 @@ def _entropy(x):
     return (np.log1p(y) + tail) / _LN2
 
 
-def _holevo(v, t, chi_line, chi_det, chi_tot):
+def _holevo(v, t, eps, chi_det):
     """Holevo bound over arrays: (chi, [l1, l2, l3, l4], (A, B, C, D)), the
     four eigenvalues stacked along a new first axis."""
     v_mod = v - 1.0
-    eps = np.maximum(chi_line - (1.0 / t - 1.0), 0.0)
+    n_out = 1.0 - t + t * eps
 
-    a_coef = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
-    sqrt_b = t * (v * chi_line + 1.0)
+    a_coef = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * v + n_out) ** 2
+    sqrt_b = v * n_out + t
     b_coef = sqrt_b * sqrt_b
     # A - 2*sqrt(B) = W^2 exactly, so the discriminant (A - 2rB)(A + 2rB)
     # never cancels and never goes negative.
@@ -326,7 +328,7 @@ def _holevo(v, t, chi_line, chi_det, chi_tot):
     l1_sq = (a_coef + np.abs(w) * np.sqrt(a_coef + 2.0 * sqrt_b)) / 2.0
     l2_sq = b_coef / l1_sq
 
-    den_root = t * (v + chi_tot)
+    den_root = t * v + n_out + chi_det
     sqrt_d = (v + sqrt_b * chi_det) / den_root
     d_coef = sqrt_d * sqrt_d
     # Likewise (C - 2*sqrt(D)) * den = (chi_det*W + M)^2 exactly.
@@ -339,10 +341,10 @@ def _holevo(v, t, chi_line, chi_det, chi_tot):
     squares = np.stack(np.broadcast_arrays(l1_sq, l2_sq, l3_sq, l4_sq))
     bad = ~(squares > 0.0).all(axis=0)
     if bad.any():
-        v_, t_, line_, det_ = _first(bad, v, t, chi_line, chi_det)
+        v_, t_, eps_, det_ = _first(bad, v, t, eps, chi_det)
         raise NumericalDomainError(
             f"nonpositive squared eigenvalue from v={v_!r}, T={t_!r}, "
-            f"chi_line={line_!r}, chi_det={det_!r}")
+            f"eps={eps_!r}, chi_det={det_!r}")
     lambdas = np.sqrt(squares)
     g = _entropy((lambdas - 1.0) / 2.0)
     # The fifth eigenvalue is 1 and contributes G(0) = 0.
@@ -358,13 +360,13 @@ def _secure_rate(efficiency, mutual, chi):
     for name, x in (("mutual_info", mutual), ("holevo_info", chi)):
         bad = ~(np.isfinite(x) & (x >= 0.0))
         if bad.any():
-            raise ParameterError(
-                [f"{name} must be finite and >= 0, got {_first(bad, x)[0]!r}"])
+            raise NumericalDomainError(
+                f"{name} must be finite and >= 0, got {_first(bad, x)[0]!r}")
     return efficiency * mutual - chi
 
 
 class _Chain(NamedTuple):
-    budget: NoiseBudget
+    eps: np.ndarray
     mutual: np.ndarray
     chi: np.ndarray
     lambdas: np.ndarray
@@ -372,27 +374,21 @@ class _Chain(NamedTuple):
     rate: np.ndarray
 
 
-def _budget(config, e0, t):
-    """Noise budget for broadcast arrays ``e0`` (the attenuator
-    transmittance) and ``t`` (the channel's)."""
+def _noise(config, e0):
+    """(V_A, eps, chi_det) at attenuator transmittances ``e0``, any shape."""
     src, alice = config.source, config.alice_detector.x
     v_mod = e0 * src.mean_photon_number
     eps = _excess_noise(v_mod, e0, alice.efficiency, alice.noise_variance,
                         src.mode_overlap)
-    chi_det = detector_added_noise(config.bob_detector.x)
-    chi_line = _channel_noise(t, eps)
-    return NoiseBudget(v_mod, eps, chi_line, chi_det,
-                       _total_noise(chi_line, chi_det, t))
+    return v_mod, eps, detector_added_noise(config.bob_detector.x)
 
 
 def _chain(config, efficiency, e0, t):
-    """Noise budget, I_AB, chi_BE and R over broadcast arrays ``e0`` and ``t``."""
-    budget = _budget(config, e0, t)
-    mutual = _mutual_info(budget.v, budget.total_noise)
-    chi, lambdas, abcd = _holevo(budget.v, t, budget.channel_noise,
-                                 budget.detector_noise, budget.total_noise)
-    return _Chain(budget, mutual, chi, lambdas, abcd,
-                  _secure_rate(efficiency, mutual, chi))
+    """eps, I_AB, chi_BE and R over broadcast arrays ``e0`` and ``t``."""
+    v_mod, eps, chi_det = _noise(config, e0)
+    mutual = _mutual_info(t * v_mod / (1.0 + t * eps + chi_det))
+    chi, lambdas, abcd = _holevo(v_mod + 1.0, t, eps, chi_det)
+    return _Chain(eps, mutual, chi, lambdas, abcd, _secure_rate(efficiency, mutual, chi))
 
 
 def _point_args(config, efficiency, transmittance, length_km):
@@ -411,14 +407,17 @@ def noise_budget(config, transmittance=None):
     which is convenient for distance sweeps.
     """
     _, t = _point_args(config, 1.0, transmittance, None)
-    return _float_budget(_budget(config, config.alice_attenuation, t))
+    return _budget(config, config.alice_attenuation, t)
 
 
-def _float_budget(budget):
-    return NoiseBudget(*(float(getattr(budget, f.name)) for f in fields(budget)))
+def _budget(config, e0, t):
+    """The NoiseBudget of one (eta0, T) pair, in Python floats."""
+    v_mod, eps, chi_det = (float(x) for x in _noise(config, e0))
+    chi_line = _channel_noise(t, eps)
+    return NoiseBudget(v_mod, eps, chi_line, chi_det, _total_noise(chi_line, chi_det, t))
 
 
-def key_rate_point(config, *, efficiency=0.95, transmittance=None,
+def key_rate_point(config, *, efficiency=_EFFICIENCY, transmittance=None,
                    length_km=None):
     """Evaluate the model key rate for one configuration.
 
@@ -444,7 +443,7 @@ def _point(config, efficiency, transmittance, length_km, optimize,
     return KeyRateResult(
         rate=rate, has_key=rate > 0.0, mutual_info=float(c.mutual), holevo_info=hol.chi,
         efficiency=efficiency, transmittance=t, alice_attenuation=float(e0),
-        budget=_float_budget(c.budget), eigenvalues=hol.eigenvalues,
+        budget=_budget(config, e0, t), eigenvalues=hol.eigenvalues,
         intermediates=hol.intermediates, length_km=length_km)
 
 
@@ -501,7 +500,7 @@ def _curve(config, efficiency, t, optimize, bounds=ATTENUATION_BOUNDS):
     return e0, _chain(config, efficiency, e0, t)
 
 
-def optimize_attenuation(config, *, efficiency=0.95, transmittance=None,
+def optimize_attenuation(config, *, efficiency=_EFFICIENCY, transmittance=None,
                          length_km=None, bounds=ATTENUATION_BOUNDS):
     """Key rate with the attenuator transmittance optimised over
     ``bounds`` by the deterministic log-scale search of
@@ -515,7 +514,7 @@ def optimize_attenuation(config, *, efficiency=0.95, transmittance=None,
 
 
 def key_rate_from_measurement(estimate, config, path_transmittance, *,
-                              efficiency=0.95):
+                              efficiency=_EFFICIENCY):
     """Key rate from a measured correlation estimate.
 
     The declared split (``config.alice_attenuation``,
@@ -559,22 +558,25 @@ def key_rate_from_measurement(estimate, config, path_transmittance, *,
     )
 
 
-def distance_cutoff(config, *, efficiency=0.95, attenuation_db_per_km=0.2,
-                    lo_km=0.0, hi_km=200.0, optimize=True, xtol_km=1e-3):
+def distance_cutoff(config, *, efficiency=_EFFICIENCY,
+                    attenuation_db_per_km=_FIBRE_DB_PER_KM, lo_km=0.0, hi_km=200.0,
+                    optimize=True, xtol_km=1e-3):
     """Locate the distance where the key rate crosses zero.
 
     With ``optimize`` the attenuator is re-optimised at every probed
     distance (the preparation that maximises the rate there); otherwise
     the config's attenuation is used as-is. Requires a sign change over
-    [lo_km, hi_km]. Each round evaluates evenly spaced distances across
-    the bracket in one vectorised pass and keeps the cell holding the
-    first sign change, until the bracket is at most ``xtol_km`` wide.
+    [lo_km, hi_km] and T > 0 at hi_km. Each round evaluates evenly spaced
+    distances across the bracket in one vectorised pass and keeps the
+    cell of the first sign change, until it is at most ``xtol_km`` wide.
     """
     f, gamma, lo_km, hi_km, xtol_km = check_args(
         _ARGS, efficiency=efficiency, attenuation_db_per_km=attenuation_db_per_km,
         lo_km=lo_km, hi_km=hi_km, xtol_km=xtol_km)
-    if not lo_km < hi_km:
-        raise ParameterError([f"need lo_km < hi_km, got ({lo_km!r}, {hi_km!r})"])
+    violations = [] if lo_km < hi_km else [f"need lo_km < hi_km, got ({lo_km!r}, {hi_km!r})"]
+    _ARGS["transmittance"](_fibre_transmittance(hi_km, gamma),
+                           f"transmittance at hi_km={hi_km!r}", violations)
+    raise_violations(violations)
 
     def rates(lengths):
         return _curve(config, f, _fibre_transmittance(lengths, gamma), optimize)[1].rate

@@ -72,9 +72,10 @@ __all__ = [
 
 # Largest |corr| accepted before the mutual information diverges.
 _CORR_LIMIT = 1.0 - 1e-15
+_FIBRE_DB_PER_KM = 0.2  # fibre loss of a length given without one
 
 
-def transmittance_from_length(length_km, attenuation_db_per_km=0.2):
+def transmittance_from_length(length_km, attenuation_db_per_km=_FIBRE_DB_PER_KM):
     """Fibre transmittance T = 10^(-gamma * L / 10)."""
     return _fibre_transmittance(*check_args(
         _ARGS, length_km=length_km, attenuation_db_per_km=attenuation_db_per_km))
@@ -156,7 +157,7 @@ class ChannelParams:
     __post_init__ = check_record
 
     @classmethod
-    def from_fiber(cls, length_km, attenuation_db_per_km=0.2):
+    def from_fiber(cls, length_km, attenuation_db_per_km=_FIBRE_DB_PER_KM):
         """Build a fibre channel with T = 10^(-gamma*L/10)."""
         t = transmittance_from_length(length_km, attenuation_db_per_km)
         return cls(transmittance=t, length_km=length_km,

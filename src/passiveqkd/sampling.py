@@ -119,13 +119,7 @@ class SampleBatch:
 
     def column_names(self):
         """Column names in wire order, absent columns omitted."""
-        names = ["x1", "x2", "x3"]
-        if self.x4 is not None:
-            names.append("x4")
-        names += ["p1", "p2", "p3"]
-        if self.p4 is not None:
-            names.append("p4")
-        return names
+        return [name for name in _SAMPLE_COLUMNS if getattr(self, name) is not None]
 
     def columns(self):
         """The column arrays, ordered as in ``column_names``."""

@@ -40,7 +40,9 @@ from .errors import (
     optional,
     raise_violations,
 )
+from .keyrate import _EFFICIENCY
 from .model import (
+    _FIBRE_DB_PER_KM,
     ChannelParams,
     ConjugateDetector,
     DetectorChannel,
@@ -125,7 +127,7 @@ class MeasuredPointSpec:
 @dataclass(frozen=True)
 class KeyRateOptions:
     optimize_alice_attenuation: bool = False
-    attenuation_db_per_km: float = 0.2
+    attenuation_db_per_km: float = _FIBRE_DB_PER_KM
 
     _CHECKS = {"attenuation_db_per_km": check_nonneg}
     __post_init__ = check_record
@@ -147,7 +149,7 @@ class Scenario:
     channel: ChannelParams | None = None
     eavesdropper_tap: bool = False
     run: RunSpec | None = None
-    efficiency: float = 0.95
+    efficiency: float = _EFFICIENCY
     sweep: Sweep | None = None
     keyrate: KeyRateOptions = field(default_factory=KeyRateOptions)
     measured_points: tuple = ()
@@ -287,7 +289,7 @@ def _parse_channel(node, where, violations):
              "attenuation_db_per_km": _get(node, "attenuation_db_per_km", where,
                                            violations, required=False)}
     if fibre["attenuation_db_per_km"] is None:
-        fibre["attenuation_db_per_km"] = 0.2
+        fibre["attenuation_db_per_km"] = _FIBRE_DB_PER_KM
     fibre = check_fields(ChannelParams._CHECKS, fibre, violations, where)
     if len(violations) > start:
         return None

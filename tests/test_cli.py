@@ -445,6 +445,19 @@ def test_keyrate_bad_distance_names_its_entry(tmp_path, scenario_file, capsys,
     assert not out.exists()
 
 
+def test_keyrate_far_row_is_not_a_configuration_error(tmp_path, scenario_file, capsys):
+    """A valid scenario with a 600 km row is no configuration error, even
+    where chi_BE rounds below zero there."""
+    doc = json.loads((SCENARIOS / "keyrate_vs_distance.json").read_text())
+    doc["sweep"]["values"] = [80, 600]
+    del doc["measured_points"]
+    rc = main(["keyrate", "--scenario", scenario_file(doc),
+               "--out", str(tmp_path / "rate.csv")])
+    err = capsys.readouterr().err
+    assert rc in (0, 3), err
+    assert "configuration error" not in err
+
+
 @pytest.mark.parametrize("command, variable, values, violation", [
     ("sweep-n0", "n0", [10, -5], "sweep.values[1] (n0 -5): "
      "mean_photon_number must be finite and >= 0, got -5.0"),

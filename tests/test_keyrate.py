@@ -5,6 +5,7 @@ Frozen constants were computed once with the 50-digit reference
 implementations in ``oracles``.
 """
 
+import contextlib
 import math
 import random
 import subprocess
@@ -222,6 +223,54 @@ def test_underflowing_transmittance_is_a_parameter_error(link_config):
         "transmittance must be > 0, got 0.0"]
 
 
+@pytest.mark.parametrize("t", [1e-300, 1e-308, 5e-324])
+@pytest.mark.parametrize("v", [1.81, 901.0, 1.0 + 1e-6])
+def test_holevo_core_holds_at_underflowing_transmittance(v, t):
+    """Nothing in the output-referred core divides by T: as T -> 0 the
+    eigenvalues reach their limit (V, 1, V, 1) with no overflow, division
+    by zero or invalid operation. T*eps may underflow, harmlessly."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        _, lambdas, _ = pq.keyrate._holevo(np.float64(v), np.float64(t),
+                                          np.float64(0.068), np.float64(3.59))
+    for got, want in zip(lambdas, (v, 1.0, v, 1.0)):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_chain_mutual_info_at_underflowing_transmittance(link_config, monkeypatch):
+    """The chain's I_AB at T = 1e-300 is log2(1 + T*V_A/(1 + T*eps + chi_det))
+    to 1e-12. The rate's chi_BE >= 0 check is bypassed: at such a T chi_BE
+    is rounding noise of either sign, which says nothing about I_AB."""
+    monkeypatch.setattr(pq.keyrate, "_secure_rate", lambda f, mutual, chi: f * mutual - chi)
+    t, e0 = 1e-300, link_config.alice_attenuation
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        core = pq.keyrate._chain(link_config, 0.95, np.float64(e0), np.float64(t))
+    v_mod = e0 * link_config.source.mean_photon_number
+    chi_det = pq.detector_added_noise(link_config.bob_detector.x)
+    with mp.workdps(50):
+        t_ = mp.mpf(t)
+        want = mp.log1p(t_ * v_mod / (1 + t_ * float(core.eps) + chi_det)) / mp.log(2)
+    assert float(core.mutual) == pytest.approx(float(want), rel=1e-12)
+
+
+def test_chain_eps_is_the_model_excess_noise(link_config):
+    """The chain takes eps once, from the model's closed form, unchanged."""
+    grid = np.geomspace(*pq.ATTENUATION_BOUNDS, 241)
+    core = pq.keyrate._chain(link_config, 0.95, grid, np.float64(0.5))
+    alice, src = link_config.alice_detector.x, link_config.source
+    want = pq.model._excess_noise(grid * src.mean_photon_number, grid, alice.efficiency,
+                                  alice.noise_variance, src.mode_overlap)
+    assert np.array_equal(core.eps, want)
+
+
+def test_core_rounding_is_not_a_configuration_error(link_config):
+    """Far out, chi_BE of the paper configuration can round below zero. That
+    is a numerical artefact of a valid configuration: it may be reported as
+    a NumericalDomainError, never as a ParameterError."""
+    for length_km in range(500, 1001, 50):
+        with contextlib.suppress(pq.NumericalDomainError):
+            pq.optimize_attenuation(link_config, length_km=float(length_km))
+
+
 def test_oracle_parity_random_tuples(alice_x, bob_x):
     """Production chain vs the independent high-precision transcription,
     to 1e-10 relative, on random operating points."""
@@ -388,7 +437,7 @@ def test_array_core_matches_key_rate_point(paper_curve):
     config, efficiency, ts = paper_curve
     grid = np.geomspace(*pq.ATTENUATION_BOUNDS, 241)
     core = pq.keyrate._chain(config, efficiency, grid, np.array(ts)[:, None])
-    eps = np.broadcast_to(core.budget.prep_excess_noise, core.rate.shape)
+    eps = np.broadcast_to(core.eps, core.rate.shape)
     for i, t in enumerate(ts):
         for j, e0 in enumerate(grid):
             res = pq.key_rate_point(config.replace(alice_attenuation=float(e0)),
@@ -526,6 +575,10 @@ def test_numpy_scalar_inputs(link_config):
         "xtol_km must be finite and > 0, got 0.0"], id="distance_cutoff"),
     pytest.param(lambda config: pq.distance_cutoff(config, lo_km=5, hi_km=5), [
         "need lo_km < hi_km, got (5.0, 5.0)"], id="distance_cutoff-order"),
+    pytest.param(lambda config: pq.distance_cutoff(config, hi_km=20000), [
+        "transmittance at hi_km=20000.0 must be > 0, got 0.0"], id="distance_cutoff-far-end"),
+    pytest.param(lambda config: pq.bosonic_entropy(-0.1), [
+        "mean_photons must be >= 0, got -0.1"], id="bosonic_entropy"),
     pytest.param(lambda config: pq.blocked_correlation([0.0] * 4, [1.0] * 4, 1), [
         "n_blocks must be >= 2, got 1"], id="blocked_correlation"),
     pytest.param(lambda config: pq.fit_mode_overlap(
