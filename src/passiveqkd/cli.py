@@ -279,11 +279,10 @@ def build_parser():
                     "passively encoded CV-QKD link.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, needs_out=True):
+    def add_common(p):
         p.add_argument("--scenario", required=True,
                        help="path to the scenario JSON file")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output CSV path")
+        p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed from the scenario")
         p.add_argument("--samples", type=int, default=None,

@@ -458,6 +458,29 @@ def test_keyrate_far_row_is_not_a_configuration_error(tmp_path, scenario_file, c
     assert "configuration error" not in err
 
 
+def test_keyrate_rows_agree_with_distance_cutoff(tmp_path, scenario_file):
+    """On the shipped curve every row more than xtol_km before the cutoff
+    of the same config, efficiency and fibre loss has key, and every row
+    more than xtol_km after it has none."""
+    doc = json.loads((SCENARIOS / "keyrate_vs_distance.json").read_text())
+    for point, corr in zip(doc["measured_points"], (0.315, 0.1)):
+        point.update(corr_mean=corr, corr_std=0.004)  # nothing is sampled
+    path = scenario_file(doc)
+    out = tmp_path / "rate.csv"
+    assert main(["keyrate", "--scenario", path, "--out", str(out)]) == 0
+    scenario = pq.load_scenario(path)
+    cutoff = pq.distance_cutoff(
+        scenario.system_config(alice_attenuation=1.0), efficiency=scenario.efficiency,
+        attenuation_db_per_km=scenario.keyrate.attenuation_db_per_km)
+    rows = [(row[0], row[5]) for row in csv_rows(out)]
+    assert {length < cutoff for length, _ in rows} == {True, False}
+    for length, rate in rows:
+        if length < cutoff - 1e-3:
+            assert rate > 0.0, (length, rate, cutoff)
+        elif length > cutoff + 1e-3:
+            assert rate <= 0.0, (length, rate, cutoff)
+
+
 @pytest.mark.parametrize("command, variable, values, violation", [
     ("sweep-n0", "n0", [10, -5], "sweep.values[1] (n0 -5): "
      "mean_photon_number must be finite and >= 0, got -5.0"),

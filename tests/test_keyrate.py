@@ -407,6 +407,45 @@ def test_distance_cutoff_ends_below_float_resolution(link_config):
     assert abs(fine - coarse) <= 0.01
 
 
+def test_optimised_cutoff_ends_below_float_resolution(link_config):
+    """With the attenuator re-optimised at every probe, an xtol_km finer
+    than the float spacing of the bracket still ends, at the same cutoff."""
+    fine = pq.distance_cutoff(link_config, xtol_km=1e-300)
+    assert abs(fine - pq.distance_cutoff(link_config)) <= 1e-3
+
+
+@pytest.fixture(scope="module")
+def seeded_cutoffs(link_config):
+    """Twelve seeded operating points near the paper's, each with its
+    optimised-preparation cutoff: (config, cutoff) pairs."""
+    rng = random.Random(5)
+    configs = [link_config.replace(source=pq.SourceParams(
+        10 ** rng.uniform(2.0, 3.7), rng.uniform(0.95, 0.97))) for _ in range(12)]
+    return [(config, pq.distance_cutoff(config)) for config in configs]
+
+
+def test_cutoff_brackets_the_optimised_sign_change(seeded_cutoffs):
+    """optimize_attenuation finds key xtol_km before each cutoff and none
+    xtol_km after it."""
+    for config, cutoff in seeded_cutoffs:
+        before, after = (pq.optimize_attenuation(config, length_km=cutoff + d).rate
+                         for d in (-1e-3, 1e-3))
+        assert before > 0.0 >= after, (config.source, cutoff)
+
+
+def test_cutoff_brackets_the_fixed_split_sign_change(seeded_cutoffs):
+    """With eta0 held at the optimum for half the optimised cutoff,
+    key_rate_point finds key xtol_km before the fixed-split cutoff and
+    none xtol_km after it."""
+    for config, cutoff in seeded_cutoffs:
+        half = pq.optimize_attenuation(config, length_km=cutoff / 2)
+        split = config.replace(alice_attenuation=half.alice_attenuation)
+        cutoff = pq.distance_cutoff(split, optimize=False)
+        before, after = (pq.key_rate_point(split, length_km=cutoff + d).rate
+                         for d in (-1e-3, 1e-3))
+        assert before > 0.0 >= after, (split.source, split.alice_attenuation, cutoff)
+
+
 def test_distance_cutoff_requires_bracket(link_config):
     with pytest.raises(pq.ModelInconsistencyError):
         pq.distance_cutoff(link_config, optimize=False, lo_km=0.0, hi_km=5.0)
@@ -579,6 +618,8 @@ def test_numpy_scalar_inputs(link_config):
         "transmittance at hi_km=20000.0 must be > 0, got 0.0"], id="distance_cutoff-far-end"),
     pytest.param(lambda config: pq.bosonic_entropy(-0.1), [
         "mean_photons must be >= 0, got -0.1"], id="bosonic_entropy"),
+    pytest.param(lambda config: pq.bosonic_entropy(math.nan), [
+        "mean_photons must be >= 0, got nan"], id="bosonic_entropy-nan"),
     pytest.param(lambda config: pq.blocked_correlation([0.0] * 4, [1.0] * 4, 1), [
         "n_blocks must be >= 2, got 1"], id="blocked_correlation"),
     pytest.param(lambda config: pq.fit_mode_overlap(
