@@ -20,6 +20,7 @@ domain error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -272,6 +273,7 @@ def _cmd_keyrate(args):
     return 0
 
 
+@functools.cache  # built once per process; parsing never changes it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="passiveqkd",

@@ -104,11 +104,11 @@ ATTENUATION_BOUNDS = (1e-8, 1.0)
 _COARSE_POINTS = 241
 # Points per round of both searches: a zoom round probes this many log
 # eta0 points across the two cells around each row's best point (8x
-# shrink), a distance_cutoff round this many edges across its bracket
-# (16x). A rate pass this small costs mostly fixed overhead, so five
-# cutoff rounds take 200 km to 1e-3 km in 60% of the time of three
-# 66-edge rounds. Seven zoom rounds take the two coarse cells (0.15 in
-# log eta0) to 7e-8, where the rate is flat to its rounding noise.
+# shrink), a distance_cutoff round this many evenly spaced edges across
+# its bracket (16x), the later rounds 15 of them plus a predicted pair.
+# A rate pass this small costs mostly fixed overhead. Seven zoom rounds
+# take the two coarse cells (0.15 in log eta0) to 7e-8, where the rate
+# is flat to its rounding noise.
 _PROBES = 17
 _ZOOM_ROUNDS = 7
 
@@ -454,10 +454,11 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     together, each step one ``_chain`` pass over every row: the rate on a
     coarse log grid over ``bounds``, then zoom rounds, each of which
     probes evenly spaced log(eta0) points across the two cells around a
-    row's best point so far and keeps the best probe. A refined point
-    replaces the coarse optimum only if it beats it by more than the
-    rounding noise of the rate, so a boundary optimum comes back as the
-    exact bound.
+    row's best point so far and keeps the best probe; a row whose best
+    interior local maximum on the coarse grid is not its argmax zooms
+    that maximum too. A refined point replaces the coarse optimum only
+    if it beats it by more than the rounding noise of the rate, so a
+    boundary optimum comes back as the exact bound.
     """
     lo, hi = bounds
     t = np.asarray(t, dtype=float)[:, None]
@@ -466,6 +467,14 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     best = np.argmax(coarse.rate, axis=1)
     rows = np.arange(len(best))
     e_best, r_best = grid[best], coarse.rate[rows, best]
+    # At low n0 near the cutoff the interior peak can be narrower than a
+    # coarse cell, so it rates below the eta0 bound and the argmax lands on
+    # the bound. Rows whose best interior local maximum is not their argmax
+    # zoom that maximum too, as extra rows, and keep the better refinement.
+    inner = coarse.rate[:, 1:-1]
+    peak = (inner >= coarse.rate[:, :-2]) & (inner >= coarse.rate[:, 2:])
+    local = 1 + np.argmax(np.where(peak, inner, -np.inf), axis=1)
+    extra = np.flatnonzero(peak.any(axis=1) & (local != best))
     # Each eigenvalue carries about one ulp of absolute rounding error,
     # which G((lam - 1)/2) scales by log2((lam + 1)/(lam - 1))/2; twice the
     # sum bounds the noise of a difference of two rates.
@@ -476,13 +485,19 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     # The first zoom round spans the two coarse cells around each optimum.
     half = math.log(hi / lo) / (_COARSE_POINTS - 1)
     steps = np.linspace(-1.0, 1.0, _PROBES)
-    e_ref = e_best
+    e_ref = np.concatenate((e_best, grid[local[extra]]))
+    t_ref = np.concatenate((t, t[extra]))
+    zoomed = np.arange(len(e_ref))
     for _ in range(_ZOOM_ROUNDS):
         probes = np.clip(np.exp(np.log(e_ref)[:, None] + half * steps), lo, hi)
-        rate = _chain(config, efficiency, probes, t).rate
+        rate = _chain(config, efficiency, probes, t_ref).rate
         k = np.argmax(rate, axis=1)
-        e_ref, r_ref = probes[rows, k], rate[rows, k]
+        e_ref, r_ref = probes[zoomed, k], rate[zoomed, k]
         half /= (_PROBES - 1) / 2
+    wins = r_ref[len(rows):] > r_ref[extra]
+    take = rows.copy()
+    take[extra[wins]] = len(rows) + np.flatnonzero(wins)
+    e_ref, r_ref = e_ref[take], r_ref[take]
     refined = r_ref > r_best + noise
     return np.where(refined, e_ref, e_best), np.where(refined, r_ref, r_best)
 
@@ -566,9 +581,14 @@ def distance_cutoff(config, *, efficiency=_EFFICIENCY,
     With ``optimize`` the attenuator is re-optimised at every probed
     distance (the preparation that maximises the rate there); otherwise
     the config's attenuation is used as-is. Requires a sign change over
-    [lo_km, hi_km] and T > 0 at hi_km. Each round rates ``_PROBES`` evenly
-    spaced edges across the bracket, the new ones in one ``_curve`` pass,
-    and keeps the first sign-change cell, until it is at most ``xtol_km`` wide.
+    [lo_km, hi_km] and T > 0 at hi_km. The first round rates ``_PROBES``
+    evenly spaced edges across the bracket in one ``_curve`` pass and
+    keeps the first sign-change cell. Each later round rates, in one
+    pass, the cell's evenly spaced interior edges plus a pair
+    ``xtol_km`` apart around the zero that ``_predict_cutoff`` predicts,
+    so the pair normally closes the cell at once. The result is the
+    midpoint of a cell at most ``xtol_km`` wide whose ends ``_curve``
+    rated keyed and keyless.
     """
     f, gamma, lo_km, hi_km, xtol_km = check_args(
         _ARGS, efficiency=efficiency, attenuation_db_per_km=attenuation_db_per_km,
@@ -578,20 +598,79 @@ def distance_cutoff(config, *, efficiency=_EFFICIENCY,
                            f"transmittance at hi_km={hi_km!r}", violations)
     raise_violations(violations)
 
-    def rates(lengths):
-        return _curve(config, f, _fibre_transmittance(lengths, gamma), optimize)[1].rate
+    def rated(lengths):
+        """Rows (L, eta0, R) of the edges ``lengths``, from one ``_curve`` pass."""
+        e0, c = _curve(config, f, _fibre_transmittance(lengths, gamma), optimize)
+        return np.stack(np.broadcast_arrays(lengths, e0, c.rate))
 
-    edges = np.linspace(lo_km, hi_km, _PROBES)
-    r = rates(edges)
+    edges = rated(np.linspace(lo_km, hi_km, _PROBES))
+    r = edges[2]
     if not (r[0] > 0.0 > r[-1]):
         raise ModelInconsistencyError(
             f"no zero crossing bracketed on [{lo_km}, {hi_km}] km: "
             f"R({lo_km}) = {float(r[0])!r}, R({hi_km}) = {float(r[-1])!r}")
     while True:
-        j = int(np.argmax(r <= 0.0))  # the first keyless edge; r[0] > 0
-        cell = (float(edges[j - 1]), float(edges[j]))
+        j = int(np.argmax(edges[2] <= 0.0))  # the first keyless edge; R > 0 at edge 0
+        cell = (float(edges[0, j - 1]), float(edges[0, j]))
         # Stop at xtol_km, or once floats cannot split the bracket further.
-        if cell[1] - cell[0] <= xtol_km or cell == (edges[0], edges[-1]):
+        if cell[1] - cell[0] <= xtol_km or cell == (edges[0, 0], edges[0, -1]):
             return 0.5 * (cell[0] + cell[1])
-        edges = np.linspace(*cell, _PROBES)
-        r = np.concatenate(([r[j - 1]], rates(edges[1:-1]), [r[j]]))
+        # Steps end at a thousandth of xtol_km, far inside the pair's reach.
+        x = _predict_cutoff(config, f, gamma, cell, float(edges[1, j - 1]),
+                            1e-3 * xtol_km, fixed=not optimize)
+        # The pair's rounded ends lie at most xtol_km apart.
+        half = max(xtol_km - 2.0 * math.ulp(cell[1]), 0.0) / 2.0
+        new = np.sort(np.concatenate((np.linspace(*cell, _PROBES)[1:-1],
+                                      np.clip([x - half, x + half], *cell))))
+        edges = np.concatenate((edges[:, j - 1:j], rated(new), edges[:, j:j + 1]), axis=1)
+
+
+# The zero predictor of distance_cutoff: at most this many Newton steps,
+# each one _chain pass over a 3x3 central-difference stencil with these
+# half-widths in L (km; at most a quarter of the cell) and ln(eta0).
+_NEWTON_STEPS = 12
+_STENCIL_KM = 1e-2
+_STENCIL_LN = 1e-3
+_STENCIL = np.array([-1.0, 0.0, 1.0])
+
+
+def _predict_cutoff(config, efficiency, gamma, cell, e0, tol, fixed):
+    """Predicted zero, in ``cell``, of the rate on its interior optimum.
+
+    Newton steps in (L, u = ln eta0) solve R = 0 and dR/du = 0, starting
+    at the keyed edge cell[0] and its optimum ``e0``; with ``fixed``, eta0
+    stays at ``e0`` and only R = 0 is solved. The optimised rate has a
+    kink at the crossing, where the optimum jumps to the eta0 bound, but
+    by the envelope theorem the interior branch is smooth across it. The
+    stencil stays in the cell, so every T it rates is one the bracket
+    allows, and an optimised eta0 stays in the search window. Steps stop
+    once one moves L by at most ``tol``.
+    """
+    a, b = cell
+    h_l = min(_STENCIL_KM, (b - a) / 4.0)
+    h_u = 0.0 if fixed else _STENCIL_LN
+    u_lo, u_hi = (math.log(x) for x in ATTENUATION_BOUNDS)
+    x, u = a, math.log(e0)
+    with np.errstate(all="ignore"):  # a flat or singular stencil ends the steps
+        for _ in range(_NEWTON_STEPS):
+            at = min(max(x, a + h_l), b - h_l)
+            if not fixed:
+                u = min(max(u, u_lo + h_u), u_hi - h_u)
+            r = _chain(config, efficiency, np.exp(u + h_u * _STENCIL),
+                       _fibre_transmittance(at + h_l * _STENCIL, gamma)[:, None]).rate
+            r_l = (r[2, 1] - r[0, 1]) / (2.0 * h_l)
+            if fixed:
+                dx, du = -r[1, 1] / r_l, 0.0
+            else:
+                r_u = (r[1, 2] - r[1, 0]) / (2.0 * h_u)
+                r_uu = (r[1, 2] - 2.0 * r[1, 1] + r[1, 0]) / (h_u * h_u)
+                r_lu = (r[2, 2] - r[2, 0] - r[0, 2] + r[0, 0]) / (4.0 * h_l * h_u)
+                det = r_l * r_uu - r_u * r_lu
+                dx = (r_u * r_u - r[1, 1] * r_uu) / det
+                du = (r[1, 1] * r_lu - r_l * r_u) / det
+            if not np.isfinite(dx + du):
+                break
+            x, u = at + float(dx), u + float(du)
+            if abs(dx) <= tol:
+                break
+    return min(max(x, a), b)

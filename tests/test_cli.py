@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import passiveqkd as pq
-from passiveqkd.cli import main
+from passiveqkd.cli import build_parser, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -140,6 +140,39 @@ def test_cli_byte_determinism(tmp_path, scenario_file):
     assert ka.read_bytes() == kb.read_bytes()
     assert ((tmp_path / "ka.points.csv").read_bytes()
             == (tmp_path / "kb.points.csv").read_bytes())
+
+
+def test_one_parser_serves_every_call(tmp_path, scenario_file, capsys):
+    """main builds its parser once per process. Two in-process calls with
+    different subcommands write the bytes two separate processes write,
+    and every --help text is that of a freshly built parser."""
+    assert build_parser() is build_parser()
+    doc = base_document()
+    doc["measured_points"] = [{"alice_attenuation": 0.5, "transmittance": 0.5}]
+    doc = scenario_file(doc)
+    argvs = [["keyrate", "--scenario", doc, "--out"],
+             ["sweep-n0", "--scenario", doc, "--samples", "2000", "--out"]]
+    outputs = ("keyrate.csv", "keyrate.points.csv", "sweep.csv")
+    for where in ("together", "apart"):
+        (tmp_path / where).mkdir()
+    for argv, name in zip(argvs, ("keyrate.csv", "sweep.csv")):
+        assert main(argv + [str(tmp_path / "together" / name)]) == 0
+        subprocess.run([sys.executable, "-m", "passiveqkd.cli", *argv,
+                        str(tmp_path / "apart" / name)], check=True, capture_output=True)
+    for name in outputs:
+        assert ((tmp_path / "together" / name).read_bytes()
+                == (tmp_path / "apart" / name).read_bytes()), name
+    capsys.readouterr()
+
+    def help_text(parse, command):
+        with pytest.raises(SystemExit):
+            parse(command + ["--help"])
+        return capsys.readouterr().out
+
+    fresh = build_parser.__wrapped__()
+    for command in ([], ["simulate"], ["sweep-n0"], ["sweep-attenuation"], ["fit"],
+                    ["keyrate"]):
+        assert help_text(main, command) == help_text(fresh.parse_args, command)
 
 
 @pytest.mark.parametrize("tap, sha256", [

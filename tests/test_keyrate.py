@@ -339,6 +339,50 @@ def test_optimize_attenuation_boundary(link_config):
     assert best.rate < 0.0
 
 
+def test_optimize_attenuation_finds_a_narrow_interior_peak(link_config):
+    """At n0 = 120 just before the cutoff the interior peak is narrower
+    than one coarse cell and both its coarse neighbours rate below the
+    eta0 = 1e-8 bound; the optimiser still finds the peak's key."""
+    config = link_config.replace(source=pq.SourceParams(120.0, 0.95))
+    best = pq.optimize_attenuation(config, length_km=17.651)
+    at_peak = pq.key_rate_point(config.replace(alice_attenuation=1.3992e-3),
+                                length_km=17.651)
+    assert best.rate > 0.0
+    assert best.rate >= at_peak.rate
+
+
+def _dense_scan(config, length_km, points=100_001):
+    """(eta0, rate, noise) at the best of a dense log eta0 scan over the
+    search window, with noise the search's rounding bound there."""
+    grid = np.geomspace(*pq.ATTENUATION_BOUNDS, points)
+    core = pq.keyrate._chain(config, 0.95, grid,
+                             np.float64(pq.transmittance_from_length(length_km)))
+    k = int(np.argmax(core.rate))
+    lam = core.lambdas[:, k]
+    ulp = np.finfo(float).eps
+    noise = ulp * np.sum(lam * np.log2((lam + 1.0) / np.maximum(lam - 1.0, ulp)))
+    return float(grid[k]), float(core.rate[k]), float(noise)
+
+
+def test_optimize_attenuation_matches_a_dense_scan_near_low_n0_cutoffs(link_config):
+    """At low-n0 points, a little before the cutoff, the optimiser's rate
+    is at least the best of a dense eta0 scan less its rounding bound.
+    The cutoff is located without the optimiser: eta0 is held at the
+    scan's optimum 1 m before the optimised cutoff, where the fixed-eta0
+    rate touches the optimised one, and the fixed-split cutoff is taken."""
+    rng = random.Random(7)
+    for _ in range(6):
+        config = link_config.replace(source=pq.SourceParams(
+            10 ** rng.uniform(2.0, 2.3), rng.uniform(0.95, 0.97)))
+        e0 = _dense_scan(config, pq.distance_cutoff(config) - 1e-3)[0]
+        cutoff = pq.distance_cutoff(config.replace(alice_attenuation=e0),
+                                    optimize=False, xtol_km=1e-6)
+        for length_km in cutoff - np.array([1e-4, 1e-3, 1e-2]):
+            _, scan, noise = _dense_scan(config, length_km)
+            best = pq.optimize_attenuation(config, length_km=length_km)
+            assert best.rate >= scan - noise, (config.source, length_km)
+
+
 def test_key_rate_from_measurement_frozen(link_config):
     splits = [
         (0.0009, 0.69, 0.151019272758746, 0.12369820477124255,
@@ -389,7 +433,7 @@ def test_distance_cutoff_paper_config(link_config):
 
 def test_distance_cutoff_fixed_split(link_config):
     """With the attenuator held at the deployed split the rate crosses
-    zero once; bisection brackets it."""
+    zero once, and the cutoff lies between key and no key."""
     cutoff = pq.distance_cutoff(link_config, optimize=False, hi_km=150.0,
                                 xtol_km=0.01)
     assert 0.0 < cutoff < 80.0
@@ -444,6 +488,27 @@ def test_cutoff_brackets_the_fixed_split_sign_change(seeded_cutoffs):
         before, after = (pq.key_rate_point(split, length_km=cutoff + d).rate
                          for d in (-1e-3, 1e-3))
         assert before > 0.0 >= after, (split.source, split.alice_attenuation, cutoff)
+
+
+def test_cutoff_takes_two_rate_passes(link_config, seeded_cutoffs, monkeypatch):
+    """The cutoff's cost, counted rather than timed: one bracketing pass
+    and one pass whose predicted pair closes the cell, optimised and with
+    eta0 held, on the paper config and at every seeded point."""
+    calls = []
+    curve = pq.keyrate._curve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return curve(*args, **kwargs)
+
+    monkeypatch.setattr(pq.keyrate, "_curve", counted)
+    for config, cutoff in [(link_config, 83.079)] + seeded_cutoffs:
+        half = pq.optimize_attenuation(config, length_km=cutoff / 2)
+        split = config.replace(alice_attenuation=half.alice_attenuation)
+        for cfg, optimize in ((config, True), (split, False)):
+            calls.clear()
+            pq.distance_cutoff(cfg, optimize=optimize)
+            assert len(calls) <= 2, (cfg.source, optimize, len(calls))
 
 
 def test_distance_cutoff_requires_bracket(link_config):
