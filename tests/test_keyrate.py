@@ -458,14 +458,41 @@ def test_optimised_cutoff_ends_below_float_resolution(link_config):
     assert abs(fine - pq.distance_cutoff(link_config)) <= 1e-3
 
 
+def _sources(link_config, seed, top):
+    """Twelve configs with n0 = 10^U(2, top) and a = U(0.95, 0.97)."""
+    rng = random.Random(seed)
+    return [link_config.replace(source=pq.SourceParams(
+        10 ** rng.uniform(2.0, top), rng.uniform(0.95, 0.97))) for _ in range(12)]
+
+
 @pytest.fixture(scope="module")
 def seeded_cutoffs(link_config):
     """Twelve seeded operating points near the paper's, each with its
     optimised-preparation cutoff: (config, cutoff) pairs."""
-    rng = random.Random(5)
-    configs = [link_config.replace(source=pq.SourceParams(
-        10 ** rng.uniform(2.0, 3.7), rng.uniform(0.95, 0.97))) for _ in range(12)]
-    return [(config, pq.distance_cutoff(config)) for config in configs]
+    return [(config, pq.distance_cutoff(config))
+            for config in _sources(link_config, 5, 3.7)]
+
+
+@pytest.fixture(scope="module")
+def low_n0_cutoffs(link_config):
+    """Twelve seeded low-n0 points, whose optimum is narrow near the
+    cutoff: (config, cutoff) pairs."""
+    return [(config, pq.distance_cutoff(config))
+            for config in _sources(link_config, 23, 2.3)]
+
+
+def test_rate_changes_sign_once_over_the_bracket(link_config):
+    """On a 401-row grid over [0, 200] km the rate goes from key to no key
+    exactly once, optimised and with eta0 held at the optimum for half
+    the cutoff, so the cutoff's first pass may rate the bracket ends alone."""
+    t = np.array([pq.transmittance_from_length(x) for x in np.linspace(0.0, 200.0, 401)])
+    for config in _sources(link_config, 23, 3.7):
+        half = pq.optimize_attenuation(config, length_km=pq.distance_cutoff(config) / 2)
+        split = config.replace(alice_attenuation=half.alice_attenuation)
+        for cfg, optimize in ((config, True), (split, False)):
+            keyed = pq.keyrate._curve(cfg, 0.95, t, optimize)[1].rate > 0.0
+            assert keyed[0] and np.count_nonzero(np.diff(keyed)) == 1, (
+                cfg.source, optimize)
 
 
 def test_cutoff_brackets_the_optimised_sign_change(seeded_cutoffs):
@@ -490,25 +517,70 @@ def test_cutoff_brackets_the_fixed_split_sign_change(seeded_cutoffs):
         assert before > 0.0 >= after, (split.source, split.alice_attenuation, cutoff)
 
 
-def test_cutoff_takes_two_rate_passes(link_config, seeded_cutoffs, monkeypatch):
-    """The cutoff's cost, counted rather than timed: one bracketing pass
-    and one pass whose predicted pair closes the cell, optimised and with
-    eta0 held, on the paper config and at every seeded point."""
+def _record_calls(monkeypatch, name):
+    """The argument tuples of every later call to ``keyrate.<name>``."""
     calls = []
-    curve = pq.keyrate._curve
+    wrapped = getattr(pq.keyrate, name)
 
-    def counted(*args, **kwargs):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return curve(*args, **kwargs)
+        return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(pq.keyrate, "_curve", counted)
-    for config, cutoff in [(link_config, 83.079)] + seeded_cutoffs:
+    monkeypatch.setattr(pq.keyrate, name, recorded)
+    return calls
+
+
+def test_cutoff_takes_two_rate_passes(link_config, seeded_cutoffs, low_n0_cutoffs,
+                                     monkeypatch):
+    """The cutoff's cost, counted rather than timed: one pass rating the
+    bracket ends and one of at most three edges whose predicted pair
+    closes the cell, optimised and with eta0 held, on the paper config
+    and at every seeded and low-n0 point; the predictor converges before
+    its step cap."""
+    calls = _record_calls(monkeypatch, "_curve")
+    chains = _record_calls(monkeypatch, "_chain")
+    steps = []
+    predict = pq.keyrate._predict_cutoff
+
+    def stepped(*args, **kwargs):
+        start = len(chains)
+        x = predict(*args, **kwargs)
+        steps.append(len(chains) - start)  # one _chain pass per Newton step
+        return x
+
+    monkeypatch.setattr(pq.keyrate, "_predict_cutoff", stepped)
+    for config, cutoff in [(link_config, 83.079)] + seeded_cutoffs + low_n0_cutoffs:
         half = pq.optimize_attenuation(config, length_km=cutoff / 2)
         split = config.replace(alice_attenuation=half.alice_attenuation)
         for cfg, optimize in ((config, True), (split, False)):
             calls.clear()
+            steps.clear()
             pq.distance_cutoff(cfg, optimize=optimize)
-            assert len(calls) <= 2, (cfg.source, optimize, len(calls))
+            where = (cfg.source, optimize)
+            assert len(calls) <= 2, (where, len(calls))
+            sizes = [np.size(args[2]) for args in calls]
+            assert sizes[0] == 2 and max(sizes[1:], default=0) <= 3, (where, sizes)
+            assert max(steps) < pq.keyrate._NEWTON_STEPS, (where, steps)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_cutoff_halves_the_cell_when_the_prediction_misses(link_config, monkeypatch,
+                                                           end):
+    """A predictor that always returns a cell end leaves the cell midpoint
+    as the only search: the cutoff still lands within xtol_km, in at most
+    1 + ceil(log2((hi_km - lo_km)/xtol_km)) passes."""
+    want = pq.distance_cutoff(link_config)
+    calls = _record_calls(monkeypatch, "_curve")
+    monkeypatch.setattr(pq.keyrate, "_predict_cutoff",
+                        lambda config, efficiency, gamma, cell, *args, **kwargs: cell[end])
+    assert abs(pq.distance_cutoff(link_config) - want) <= 1e-3
+    assert len(calls) <= 1 + math.ceil(math.log2(200.0 / 1e-3))
+
+
+def test_cutoff_from_a_nonzero_lo_km(link_config):
+    """A bracket that starts past 0 km finds the same cutoff."""
+    assert abs(pq.distance_cutoff(link_config, lo_km=50.0, hi_km=120.0)
+               - pq.distance_cutoff(link_config)) <= 1e-3
 
 
 def test_distance_cutoff_requires_bracket(link_config):
