@@ -35,6 +35,7 @@ from .errors import (
     NumericalDomainError,
     ParameterError,
     UnidentifiableFitError,
+    check_args,
     raise_violations,
 )
 from .scenario import (
@@ -249,9 +250,8 @@ def _cmd_keyrate(args):
     base = scenario.system_config(
         alice_attenuation=scenario.alice_attenuation if not optimize else 1.0)
     gamma = options.attenuation_db_per_km
-    ts = [channel.transmittance for channel in _per_entry(
-        scenario, "length_km", grid,
-        lambda length: model.ChannelParams.from_fiber(length, gamma))]
+    ts = _per_entry(scenario, "length_km", grid, lambda length: check_args(
+        model._ARGS, transmittance=model.transmittance_from_length(length, gamma))[0])
     e0, c = keyrate._curve(base, scenario.efficiency, ts, optimize)
     columns = (c.eps, c.mutual, c.chi, c.rate, e0)
     rows = list(zip(grid, ts, *(np.broadcast_to(x, len(ts)).tolist() for x in columns)))

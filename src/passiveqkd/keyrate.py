@@ -85,13 +85,14 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _EFFICIENCY = 0.95  # reconciliation efficiency f of a rate given none
+_ENTROPY_TOL = 1e-6  # an entropy argument (lambda - 1)/2 down to -this counts as 0
 
 # Argument rules of the public functions: the model's, plus those of the
 # quantities only this module takes. Each end of optimize_attenuation's
 # bounds is a value of alice_attenuation.
 _ARGS = {**_MODEL_ARGS, "efficiency": check_fraction,
          "v": rule(lambda v: v >= 1.0, "be >= 1"),
-         "mean_photons": rule(lambda x: x >= -1e-6, "be >= 0"),
+         "mean_photons": rule(lambda x: x >= -_ENTROPY_TOL, "be >= 0"),
          "excess_noise": check_nonneg, "channel_noise": check_nonneg,
          "detector_noise": check_nonneg, "total_noise": check_nonneg,
          "mutual_info": check_nonneg, "holevo_info": check_nonneg,
@@ -218,7 +219,8 @@ def bosonic_entropy(mean_photons):
     Evaluated as (log1p(x) + x*log1p(1/x))/ln 2, a sum of two positive
     terms, which keeps full relative precision from subnormal x up to
     the largest float. Arguments down to -1e-6 are treated as zero so
-    that eigenvalues equal to 1 up to floating error are handled cleanly.
+    that eigenvalues equal to 1 up to floating error are handled cleanly;
+    the key-rate core holds its eigenvalues to the same tolerance.
     """
     [x] = check_args(_ARGS, mean_photons=mean_photons)
     return float(_entropy(np.float64(x)))
@@ -297,9 +299,7 @@ def _first(bad, *arrays):
 
 
 def _entropy(x):
-    bad = x < -1e-6
-    if bad.any():
-        raise NumericalDomainError(f"mean_photons must be >= 0, got {_first(bad, x)[0]!r}")
+    """G(x) over an array checked >= -_ENTROPY_TOL; x < 0 counts as 0."""
     # G = log1p(y) + y*log1p(1/y) in nats: two positive terms, so no digits
     # cancel at large y, and G(0) = 0. Below 2**-1000 the second term is
     # -y*log(y) to rounding, and 1/y would overflow for a subnormal y.
@@ -337,11 +337,13 @@ def _holevo(v, t, eps, chi_det):
     l4_sq = d_coef / l3_sq
 
     squares = np.stack(np.broadcast_arrays(l1_sq, l2_sq, l3_sq, l4_sq))
-    bad = ~(squares > 0.0).all(axis=0)
+    # The eigenvalue rule, lambda >= 1 - 2*_ENTROPY_TOL, puts every entropy
+    # argument in its domain; checked before sqrt, and NaN fails it.
+    bad = ~(squares >= (1.0 - 2.0 * _ENTROPY_TOL) ** 2).all(axis=0)
     if bad.any():
         v_, t_, eps_, det_ = _first(bad, v, t, eps, chi_det)
         raise NumericalDomainError(
-            f"nonpositive squared eigenvalue from v={v_!r}, T={t_!r}, "
+            f"symplectic eigenvalue below 1 from v={v_!r}, T={t_!r}, "
             f"eps={eps_!r}, chi_det={det_!r}")
     lambdas = np.sqrt(squares)
     g = _entropy((lambdas - 1.0) / 2.0)
@@ -355,12 +357,14 @@ def _holevo_result(chi, lambdas, abcd):
 
 
 def _secure_rate(efficiency, mutual, chi):
-    for name, x in (("mutual_info", mutual), ("holevo_info", chi)):
-        bad = ~(np.isfinite(x) & (x >= 0.0))
-        if bad.any():
-            raise NumericalDomainError(
-                f"{name} must be finite and >= 0, got {_first(bad, x)[0]!r}")
-    return efficiency * mutual - chi
+    """f*I_AB - chi_BE, both finite and >= 0; one mask, read only on failure."""
+    rate = efficiency * mutual - chi
+    bad = ~(np.isfinite(rate) & (mutual >= 0.0) & (chi >= 0.0))
+    if bad.any():
+        i_ab, chi_be = _first(bad, mutual, chi)
+        name, x = ("mutual_info", i_ab) if not 0 <= i_ab < math.inf else ("holevo_info", chi_be)
+        raise NumericalDomainError(f"{name} must be finite and >= 0, got {x!r}")
+    return rate
 
 
 class _Chain(NamedTuple):
@@ -452,9 +456,9 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     together, each step one ``_chain`` pass over every row: the rate on a
     coarse log grid over ``bounds``, then zoom rounds, each of which
     probes evenly spaced log(eta0) points across the two cells around a
-    row's best point so far and keeps the best probe; a row whose best
-    interior local maximum on the coarse grid is not its argmax zooms
-    that maximum too. A refined point replaces the coarse optimum only
+    row's best point so far and keeps the best probe. Each row zooms its
+    coarse argmax and its best interior local maximum together and keeps
+    the better of the two. A refined point replaces the coarse optimum only
     if it beats it by more than the rounding noise of the rate, so a
     boundary optimum comes back as the exact bound.
     """
@@ -467,12 +471,12 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     e_best, r_best = grid[best], coarse.rate[rows, best]
     # At low n0 near the cutoff the interior peak can be narrower than a
     # coarse cell, so it rates below the eta0 bound and the argmax lands on
-    # the bound. Rows whose best interior local maximum is not their argmax
-    # zoom that maximum too, as extra rows, and keep the better refinement.
+    # the bound. Every row zooms two candidates, its argmax and its best
+    # interior local maximum (the argmax again if it has none).
     inner = coarse.rate[:, 1:-1]
     peak = (inner >= coarse.rate[:, :-2]) & (inner >= coarse.rate[:, 2:])
     local = 1 + np.argmax(np.where(peak, inner, -np.inf), axis=1)
-    extra = np.flatnonzero(peak.any(axis=1) & (local != best))
+    local = np.where(peak.any(axis=1), local, best)
     # Each eigenvalue carries about one ulp of absolute rounding error,
     # which G((lam - 1)/2) scales by log2((lam + 1)/(lam - 1))/2; twice the
     # sum bounds the noise of a difference of two rates.
@@ -483,19 +487,15 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     # The first zoom round spans the two coarse cells around each optimum.
     half = math.log(hi / lo) / (_COARSE_POINTS - 1)
     steps = np.linspace(-1.0, 1.0, _PROBES)
-    e_ref = np.concatenate((e_best, grid[local[extra]]))
-    t_ref = np.concatenate((t, t[extra]))
-    zoomed = np.arange(len(e_ref))
+    e_ref = grid[np.stack((best, local), axis=1)]
     for _ in range(_ZOOM_ROUNDS):
-        probes = np.clip(np.exp(np.log(e_ref)[:, None] + half * steps), lo, hi)
-        rate = _chain(config, efficiency, probes, t_ref).rate
-        k = np.argmax(rate, axis=1)
-        e_ref, r_ref = probes[zoomed, k], rate[zoomed, k]
+        probes = np.clip(np.exp(np.log(e_ref)[..., None] + half * steps), lo, hi)
+        rate = _chain(config, efficiency, probes, t[..., None]).rate
+        at = rows[:, None], [0, 1], np.argmax(rate, axis=2)
+        e_ref, r_ref = probes[at], rate[at]
         half /= (_PROBES - 1) / 2
-    wins = r_ref[len(rows):] > r_ref[extra]
-    take = rows.copy()
-    take[extra[wins]] = len(rows) + np.flatnonzero(wins)
-    e_ref, r_ref = e_ref[take], r_ref[take]
+    k = np.argmax(r_ref, axis=1)  # a tie keeps the argmax
+    e_ref, r_ref = e_ref[rows, k], r_ref[rows, k]
     refined = r_ref > r_best + noise
     return np.where(refined, e_ref, e_best), np.where(refined, r_ref, r_best)
 

@@ -252,6 +252,39 @@ def test_chain_mutual_info_at_underflowing_transmittance(link_config, monkeypatc
     assert float(core.mutual) == pytest.approx(float(want), rel=1e-12)
 
 
+@pytest.mark.parametrize("args", [(10.0, 0.5, -0.9, 1.0), (1.5, 0.9, -0.2, 0.0)])
+def test_holevo_eigenvalue_rule_names_the_pass_inputs(args):
+    """An eigenvalue below 1 (here from a negative eps, which no caller
+    passes) fails the core's one eigenvalue rule, which names the inputs
+    of the pass rather than an entropy argument no caller gave."""
+    with pytest.raises(pq.NumericalDomainError) as err:
+        pq.keyrate._holevo(*(np.float64(x) for x in args))
+    text = str(err.value)
+    assert text.startswith("symplectic eigenvalue below 1 from ")
+    for name in ("v=", "T=", "eps=", "chi_det="):
+        assert name in text
+    assert "mean_photons" not in text
+
+
+@pytest.mark.parametrize("mutual, chi, text", [
+    ([0.2, 0.3], [0.1, -1e-15], "holevo_info must be finite and >= 0, got -1e-15"),
+    ([math.nan, 0.3], [0.1, 0.1], "mutual_info must be finite and >= 0, got nan"),
+    ([0.2, -1.0], [-2.0, 0.1], "holevo_info must be finite and >= 0, got -2.0"),
+])
+def test_secure_rate_names_the_first_bad_element(mutual, chi, text):
+    """The information rule is one mask over both arrays; a failure names
+    the offender at the first element that breaks it."""
+    with pytest.raises(pq.NumericalDomainError) as err:
+        pq.keyrate._secure_rate(0.95, np.array(mutual), np.array(chi))
+    assert str(err.value) == text
+
+
+def test_secure_rate_of_valid_informations():
+    """On valid arrays the rate is exactly f*I_AB - chi_BE."""
+    mutual, chi = np.array([0.0, 0.3, 2.5]), np.array([[0.0], [0.1], [3.0]])
+    assert np.array_equal(pq.keyrate._secure_rate(0.95, mutual, chi), 0.95 * mutual - chi)
+
+
 def test_chain_eps_is_the_model_excess_noise(link_config):
     """The chain takes eps once, from the model's closed form, unchanged."""
     grid = np.geomspace(*pq.ATTENUATION_BOUNDS, 241)
