@@ -456,11 +456,11 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     together, each step one ``_chain`` pass over every row: the rate on a
     coarse log grid over ``bounds``, then zoom rounds, each of which
     probes evenly spaced log(eta0) points across the two cells around a
-    row's best point so far and keeps the best probe. Each row zooms its
-    coarse argmax and its best interior local maximum together and keeps
-    the better of the two. A refined point replaces the coarse optimum only
-    if it beats it by more than the rounding noise of the rate, so a
-    boundary optimum comes back as the exact bound.
+    row's best point so far and keeps the best probe. Each row zooms one
+    candidate: its best interior local maximum, or its coarse argmax where
+    it has none. A refined point replaces the coarse optimum only if it
+    beats it by more than the rounding noise of the rate, so a boundary
+    optimum comes back as the exact bound.
     """
     lo, hi = bounds
     t = np.asarray(t, dtype=float)[:, None]
@@ -471,8 +471,9 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     e_best, r_best = grid[best], coarse.rate[rows, best]
     # At low n0 near the cutoff the interior peak can be narrower than a
     # coarse cell, so it rates below the eta0 bound and the argmax lands on
-    # the bound. Every row zooms two candidates, its argmax and its best
-    # interior local maximum (the argmax again if it has none).
+    # the bound. Each row therefore zooms its best interior local maximum,
+    # which is the argmax whenever the argmax is interior, or its argmax
+    # where no interior point is a local maximum.
     inner = coarse.rate[:, 1:-1]
     peak = (inner >= coarse.rate[:, :-2]) & (inner >= coarse.rate[:, 2:])
     local = 1 + np.argmax(np.where(peak, inner, -np.inf), axis=1)
@@ -487,15 +488,13 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
     # The first zoom round spans the two coarse cells around each optimum.
     half = math.log(hi / lo) / (_COARSE_POINTS - 1)
     steps = np.linspace(-1.0, 1.0, _PROBES)
-    e_ref = grid[np.stack((best, local), axis=1)]
+    e_ref = grid[local]
     for _ in range(_ZOOM_ROUNDS):
-        probes = np.clip(np.exp(np.log(e_ref)[..., None] + half * steps), lo, hi)
-        rate = _chain(config, efficiency, probes, t[..., None]).rate
-        at = rows[:, None], [0, 1], np.argmax(rate, axis=2)
+        probes = np.clip(np.exp(np.log(e_ref)[:, None] + half * steps), lo, hi)
+        rate = _chain(config, efficiency, probes, t).rate
+        at = rows, np.argmax(rate, axis=1)
         e_ref, r_ref = probes[at], rate[at]
         half /= (_PROBES - 1) / 2
-    k = np.argmax(r_ref, axis=1)  # a tie keeps the argmax
-    e_ref, r_ref = e_ref[rows, k], r_ref[rows, k]
     refined = r_ref > r_best + noise
     return np.where(refined, e_ref, e_best), np.where(refined, r_ref, r_best)
 

@@ -171,10 +171,9 @@ def _quadrature_chunk(config, seed, chunk_index, count, term_base, alice_ch, bob
     def draw(term):
         return _substream(seed, chunk_index, term_base + term).standard_normal(count)
 
-    q_in = thermal_quadratures(
-        _substream(seed, chunk_index, term_base + _T_THERMAL), n0, count)
-    q_orth = thermal_quadratures(
-        _substream(seed, chunk_index, term_base + _T_THERMAL_ORTH), n0, count)
+    thermal = math.sqrt(2.0 * n0 + 1.0)  # the std of a thermal quadrature
+    q_in = thermal * draw(_T_THERMAL)
+    q_orth = thermal * draw(_T_THERMAL_ORTH)
     v_split = draw(_T_VAC_SPLIT)
     v_split_orth = draw(_T_VAC_SPLIT_ORTH)
     v_alice_split = draw(_T_VAC_ALICE_SPLIT)

@@ -83,7 +83,8 @@ def write_table(file_or_path, kind, header, rows, summary=()):
 def read_table(file_or_path, label, pick):
     """Parse the columns ``pick(header names)`` returns into float arrays.
 
-    Returns {name: array} in ``pick``'s order. Rows wider than the header
+    Returns {name: array} in ``pick``'s order, each a column view of the
+    one parsed (rows, columns) matrix. Rows wider than the header
     are rejected when every column is picked. Malformed input raises
     ``ParameterError`` naming the table by ``label``.
     """
@@ -113,4 +114,4 @@ def read_table(file_or_path, label, pick):
     if data.shape[1] != len(wanted):
         raise ParameterError(
             [f"{label} rows have {data.shape[1]} fields, header names {len(names)}"])
-    return {name: np.ascontiguousarray(data[:, i]) for i, name in enumerate(wanted)}
+    return {name: data[:, i] for i, name in enumerate(wanted)}

@@ -676,6 +676,17 @@ def test_curve_optimum_matches_single_distance_search(paper_curve):
     assert np.all(eta0 == lo) and np.all(rate < 0.0)
 
 
+def test_zoom_rates_one_candidate_per_row(paper_curve, monkeypatch):
+    """The search rates the coarse grid once, then one block of probes per
+    zoom round with a single candidate per distance."""
+    config, efficiency, ts = paper_curve
+    chains = _record_calls(monkeypatch, "_chain")
+    pq.keyrate._best_attenuation(config, efficiency, ts)
+    shapes = [np.shape(args[2]) for args in chains]
+    zoom = (len(ts), pq.keyrate._PROBES)
+    assert shapes == [(241,)] + [zoom] * pq.keyrate._ZOOM_ROUNDS
+
+
 def test_curve_search_matches_a_fine_grid(paper_curve):
     """At every interior optimum of the shipped curve the search's rate is
     at least the best of a 2001-point log grid over the two coarse cells
