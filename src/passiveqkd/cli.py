@@ -55,15 +55,6 @@ def _derived_path(out_path, suffix):
     return f"{stem}.{suffix}{ext or '.csv'}"
 
 
-def _pool_map(fn, items):
-    """Evaluate fn over items with a small worker pool; results come back
-    in input order, so parallelism never changes the output."""
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(_SWEEP_WORKERS, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _moment_rows(batch, config):
     """(name, sample, model) triples comparing batch moments to closed forms."""
     n0 = config.source.mean_photon_number
@@ -119,8 +110,7 @@ def _measure(config, run, index):
     return estimation.blocked_correlation(batch.x2, batch.x3, spec.n_blocks)
 
 
-def _cmd_simulate(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_simulate(args, scenario):
     config = scenario.system_config()
     batch = sampling.simulate_batch(config, _run_spec(scenario, args))
     sampling.write_sample_csv(args.out, batch)
@@ -171,23 +161,23 @@ def _sweep(args, scenario, command, variable, grid, point_config):
             config.path_transmittance)
         return (grid[index], est.mean_corr, est.std_dev, corr_model)
 
-    rows = _pool_map(point, range(len(grid)))
+    # Rows come back in grid order, so the worker count never changes the CSV.
+    with ThreadPoolExecutor(max_workers=min(_SWEEP_WORKERS, len(grid))) as pool:
+        rows = list(pool.map(point, range(len(grid))))
     tables.write_table(args.out, command,
                        (variable, "corr_mc", "corr_std", "corr_model"), rows)
     print(f"wrote {len(rows)} sweep points to {args.out}")
     return 0
 
 
-def _cmd_sweep_n0(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_sweep_n0(args, scenario):
     grid = _sweep_grid(scenario, "sweep-n0", "n0", DEFAULT_N0_GRID)
     base = scenario.system_config()
     return _sweep(args, scenario, "sweep-n0", "n0", grid, lambda n0: base.replace(
         source=model.SourceParams(n0, base.source.mode_overlap)))
 
 
-def _cmd_sweep_attenuation(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_sweep_attenuation(args, scenario):
     grid = _sweep_grid(scenario, "sweep-attenuation", "eta_tot_db",
                        DEFAULT_ETA_TOT_DB_GRID)
     bad = [db for db in grid if db > 0]
@@ -198,8 +188,7 @@ def _cmd_sweep_attenuation(args):
                   lambda db: _bench_config(scenario, linear_from_db(db)))
 
 
-def _cmd_fit(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_fit(args, scenario):
     config = scenario.system_config()
     points = estimation.read_points_csv(args.points)
     fit = estimation.fit_mode_overlap(
@@ -238,8 +227,7 @@ def _measured_point_rows(scenario, run):
     return rows
 
 
-def _cmd_keyrate(args):
-    scenario = load_scenario(args.scenario)
+def _cmd_keyrate(args, scenario):
     grid = _sweep_grid(scenario, "keyrate", "length_km", DEFAULT_LENGTH_KM_GRID)
     options = scenario.keyrate
     optimize = options.optimize_alice_attenuation
@@ -273,6 +261,16 @@ def _cmd_keyrate(args):
     return 0
 
 
+_COMMANDS = (
+    ("simulate", _cmd_simulate, "generate one Monte Carlo batch"),
+    ("sweep-n0", _cmd_sweep_n0, "correlation vs source photon number"),
+    ("sweep-attenuation", _cmd_sweep_attenuation,
+     "correlation vs combined path attenuation"),
+    ("fit", _cmd_fit, "fit the mode overlap from a points CSV"),
+    ("keyrate", _cmd_keyrate, "key rate vs fibre distance"),
+)
+
+
 @functools.cache  # built once per process; parsing never changes it
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -281,7 +279,8 @@ def build_parser():
                     "passively encoded CV-QKD link.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, func, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True,
                        help="path to the scenario JSON file")
         p.add_argument("--out", required=True, help="output CSV path")
@@ -291,29 +290,11 @@ def build_parser():
                        help="override run.n_samples from the scenario")
         p.add_argument("--blocks", type=int, default=None,
                        help="override run.n_blocks from the scenario")
-
-    p = sub.add_parser("simulate", help="generate one Monte Carlo batch")
-    add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep-n0", help="correlation vs source photon number")
-    add_common(p)
-    p.set_defaults(func=_cmd_sweep_n0)
-
-    p = sub.add_parser("sweep-attenuation",
-                       help="correlation vs combined path attenuation")
-    add_common(p)
-    p.set_defaults(func=_cmd_sweep_attenuation)
-
-    p = sub.add_parser("fit", help="fit the mode overlap from a points CSV")
-    add_common(p)
-    p.add_argument("--points", required=True,
-                   help="points CSV (from sweep-n0, or any n0/corr_mean/corr_std file)")
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("keyrate", help="key rate vs fibre distance")
-    add_common(p)
-    p.set_defaults(func=_cmd_keyrate)
+        if func is _cmd_fit:
+            p.add_argument("--points", required=True,
+                           help="points CSV (from sweep-n0, or any "
+                                "n0/corr_mean/corr_std file)")
+        p.set_defaults(func=func)
 
     return parser
 
@@ -321,7 +302,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_scenario(args.scenario))
     except (ParameterError, BatchSizeError) as exc:
         violations = getattr(exc, "violations", None) or [str(exc)]
         print("configuration error:", file=sys.stderr)

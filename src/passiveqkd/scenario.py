@@ -399,6 +399,7 @@ def load_scenario(path):
     with open(path, "r", encoding="utf-8") as f:
         try:
             document = json.load(f)
-        except ValueError as exc:  # bad JSON, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, an integer too long to convert, or nesting too deep
             raise ParameterError([f"scenario file is not valid JSON: {exc}"]) from exc
     return parse_scenario(document)

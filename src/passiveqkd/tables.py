@@ -90,13 +90,16 @@ def read_table(file_or_path, label, pick):
     """
     with _opened(file_or_path, "r") as f:
         skip = 0
-        for line in f:
-            skip += 1
-            line = line.strip()
-            if line and not line.startswith("#"):
-                break
-        else:
-            raise ParameterError([f"{label} contains no header row"])
+        try:
+            for line in f:
+                skip += 1
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    break
+            else:
+                raise ParameterError([f"{label} contains no header row"])
+        except UnicodeDecodeError as exc:
+            raise ParameterError([f"{label} is not UTF-8 text: {exc}"]) from None
         names = [c.strip() for c in line.split(",")]
         wanted = pick(names)
         usecols = None if wanted == names else [names.index(c) for c in wanted]

@@ -209,13 +209,16 @@ def test_derived_path_splits_the_file_name_only(tmp_path, scenario_file,
                                                       "samples.moments.csv"]
 
 
-def test_sweep_n0_row_reproduced_alone(tmp_path, scenario_file):
+@pytest.mark.parametrize("grid", [[50, 200], [50]], ids=["two-rows", "one-row"])
+def test_sweep_n0_row_reproduced_alone(tmp_path, scenario_file, grid):
     doc = base_document()
-    doc["sweep"] = {"variable": "n0", "values": [50, 200]}
+    doc["sweep"] = {"variable": "n0", "values": grid}
     out = tmp_path / "sweep.csv"
     assert main(["sweep-n0", "--scenario", scenario_file(doc),
                  "--out", str(out)]) == 0
-    for index, row in enumerate(csv_rows(out)):
+    rows = csv_rows(out)
+    assert [row[0] for row in rows] == grid
+    for index, row in enumerate(rows):
         est = rerun_row(document_config(doc, 1.0, n0=row[0]), doc, index)
         assert (row[1], row[2]) == (est.mean_corr, est.std_dev)
 
@@ -390,6 +393,16 @@ def test_fit_malformed_points_exits_2(tmp_path, scenario_file, capsys, row):
     err = capsys.readouterr().err
     assert "configuration error:" in err
     assert "points CSV has a malformed row" in err
+
+
+def test_fit_undecodable_points_exits_2(tmp_path, scenario_file, capsys):
+    points = tmp_path / "points.csv"
+    points.write_bytes(b"n0,corr_mean,corr_std\n50,0.4,0.01\n100,0.5\xff,0.01\n")
+    rc = main(["fit", "--scenario", scenario_file(base_document()),
+               "--points", str(points), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:\n  - points CSV is not UTF-8 text: ")
 
 
 def test_keyrate_fixed_split(tmp_path, scenario_file):
@@ -599,6 +612,15 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_deeply_nested_scenario_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error:\n  - scenario file is not valid JSON: ")
 
 
 @pytest.mark.parametrize("digits", [401, 5000])

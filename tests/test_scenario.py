@@ -205,6 +205,15 @@ def _scenario(value):
     return replace(pq.parse_scenario(full_document()), efficiency=value)
 
 
+def _parent(doc, path):
+    """The node holding the last key of a dotted ``path``, and that key."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    node = doc
+    for key in keys[1 if keys[0] == "scenario" else 0:-1]:
+        node = node[key]
+    return node, keys[-1]
+
+
 # (scenario path, record field, bad value, the record built with it)
 PARITY_CASES = [
     ("system.alice_detector.x.efficiency", "efficiency", 0.0,
@@ -258,14 +267,40 @@ def test_parser_reports_the_record_rule(path, field, value, build):
     doc = full_document()
     if path.startswith("system.channel.") and field != "transmittance":
         doc["system"]["channel"] = {"length_km": 10.0}
-    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
-    node = doc
-    for key in keys[1 if keys[0] == "scenario" else 0:-1]:
-        node = node[key]
-    node[keys[-1]] = value
+    node, key = _parent(doc, path)
+    node[key] = value
     with pytest.raises(pq.ParameterError) as parsed:
         pq.parse_scenario(doc)
     assert parsed.value.violations == [path + message[len(field):]]
+
+
+# (scenario path, its new value or None to drop the key, the one violation)
+SHAPE_CASES = [(path, [], f"{path} must be a JSON object, got list") for path in (
+    "scenario", "system", "system.source", "system.alice_detector",
+    "system.alice_detector.x", "system.channel", "run", "sweep", "keyrate",
+    "measured_points[0]")] + [
+    ("system", None, "scenario.system is required"),
+    ("system.source", None, "system.source is required"),
+    ("system.bob_detector", None, "system.bob_detector is required"),
+]
+
+
+@pytest.mark.parametrize("path, value, violation", SHAPE_CASES)
+def test_parser_reports_shape_errors(path, value, violation):
+    """A section that is not a JSON object, or a required one that is
+    missing, is exactly one violation naming its path."""
+    doc = full_document()
+    if path == "scenario":
+        doc = value
+    else:
+        node, key = _parent(doc, path)
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+    with pytest.raises(pq.ParameterError) as err:
+        pq.parse_scenario(doc)
+    assert err.value.violations == [violation]
 
 
 def test_unknown_keys_rejected_at_every_level():
@@ -415,6 +450,16 @@ def test_load_scenario(tmp_path):
     with pytest.raises(pq.ParameterError) as err:
         pq.load_scenario(bad)
     assert any("not valid JSON" in v for v in err.value.violations)
+
+
+def test_deeply_nested_json_is_not_valid_json(tmp_path):
+    """Nesting past the recursion limit is a violation, not a RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    with pytest.raises(pq.ParameterError) as err:
+        pq.load_scenario(path)
+    [violation] = err.value.violations
+    assert violation.startswith("scenario file is not valid JSON: ")
 
 
 def test_default_grids():

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+import passiveqkd as pq
 from passiveqkd import tables
 
 
@@ -45,3 +46,20 @@ def test_float_matrix_matches_savetxt(tmp_path):
         path = tmp_path / "m.csv"
         tables.write_table(path, "samples", header, matrix)
         assert path.read_bytes() == expected.encode("utf-8"), n_rows
+
+
+@pytest.mark.parametrize("read, label, header, row", [
+    (pq.read_points_csv, "points CSV", b"n0,corr_mean,corr_std\n", b"100,0.5,0.01\n"),
+    (pq.read_sample_csv, "sample CSV", b"x1,x2,x3,p1,p2,p3\n", b"1,2,3,4,5,6\n"),
+], ids=["points", "samples"])
+def test_undecodable_file_is_a_parameter_error(tmp_path, read, label, header, row):
+    """A byte that is not UTF-8, in the header's read-ahead or far past it,
+    is a violation naming the table, not a UnicodeDecodeError."""
+    path = tmp_path / "t.csv"
+    bad = row.replace(b",", b"\xff,", 1)
+    path.write_bytes(header + row + bad)
+    with pytest.raises(pq.ParameterError, match=f"^{label} is not UTF-8 text: "):
+        read(path)
+    path.write_bytes(header + row * 10000 + bad)
+    with pytest.raises(pq.ParameterError, match=f"^{label} has a malformed row: "):
+        read(path)
