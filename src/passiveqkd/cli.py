@@ -103,6 +103,7 @@ def _measure(config, run, index):
     """Simulate point ``index`` of ``run`` and estimate its blocked
     X-quadrature Alice-Bob correlation. The point's seed is
     ``derive_point_seed(run.seed, index)``, so a row can be rerun alone."""
+    estimation._blocking(run.n_samples, run.n_blocks)
     spec = sampling.RunSpec(run.n_samples,
                             sampling.derive_point_seed(run.seed, index),
                             run.n_blocks)
@@ -203,7 +204,9 @@ def _cmd_fit(args, scenario):
     return 0
 
 
-def _measured_point_rows(scenario, run):
+def _measured_point_rows(scenario, args):
+    needs_run = any(p.corr_mean is None for p in scenario.measured_points)
+    run = _run_spec(scenario, args) if needs_run else None
     rows = []
     for index, spec in enumerate(scenario.measured_points):
         eta_tot = spec.path_transmittance
@@ -243,19 +246,17 @@ def _cmd_keyrate(args, scenario):
     e0, c = keyrate._curve(base, scenario.efficiency, ts, optimize)
     columns = (c.eps, c.mutual, c.chi, c.rate, e0)
     rows = list(zip(grid, ts, *(np.broadcast_to(x, len(ts)).tolist() for x in columns)))
+    point_rows = _measured_point_rows(scenario, args)  # before any file is written
     tables.write_table(args.out, "keyrate",
                        ("L_km", "T", "eps_A", "I_AB", "chi_BE", "R", "eta0"), rows)
     messages = [f"wrote {len(rows)} key-rate points to {args.out}"]
-
-    if scenario.measured_points:
-        needs_run = any(p.corr_mean is None for p in scenario.measured_points)
-        run = _run_spec(scenario, args) if needs_run else None
+    if point_rows:
         points_path = _derived_path(args.out, "points")
         tables.write_table(points_path, "keyrate-points",
                            ("eta_tot_db", "eta_tot", "eta0", "T", "corr_mean",
                             "corr_std", "corr_model", "I_AB", "chi_BE", "R",
                             "R_lower", "R_upper", "R_model", "has_key"),
-                           _measured_point_rows(scenario, run))
+                           point_rows)
         messages.append(f"measured points to {points_path}")
     print("; ".join(messages))
     return 0

@@ -102,6 +102,16 @@ class MutualInfoEstimate(NamedTuple):
     upper: float
 
 
+def _blocking(n_samples, n_blocks):
+    """(n_blocks, block_size): ``n_samples`` in equal blocks of >= 2 samples."""
+    [n_blocks] = check_args(_ARGS, n_blocks=n_blocks)
+    block_size = n_samples // n_blocks
+    if block_size < 2:
+        raise ParameterError(
+            [f"{n_samples} samples cannot fill {n_blocks} blocks of >= 2 samples"])
+    return n_blocks, block_size
+
+
 def blocked_correlation(x_alice, x_bob, n_blocks):
     """Blocked Pearson correlation between two sample columns.
 
@@ -113,15 +123,11 @@ def blocked_correlation(x_alice, x_bob, n_blocks):
     """
     x = np.asarray(x_alice, dtype=float)
     y = np.asarray(x_bob, dtype=float)
-    [n_blocks] = check_args(_ARGS, n_blocks=n_blocks)
     if x.ndim != 1 or y.ndim != 1:
         raise ParameterError(["x_alice and x_bob must be one-dimensional columns"])
     if x.shape[0] != y.shape[0]:
         raise ParameterError([f"column lengths differ: {x.shape[0]} vs {y.shape[0]}"])
-    block_size = x.shape[0] // n_blocks
-    if block_size < 2:
-        raise ParameterError(
-            [f"{x.shape[0]} samples cannot fill {n_blocks} blocks of >= 2 samples"])
+    n_blocks, block_size = _blocking(x.shape[0], n_blocks)
     n_used = n_blocks * block_size
     n_dropped = x.shape[0] - n_used
 

@@ -69,8 +69,9 @@ _TERMS_PER_QUAD = 13
  _T_VAC_ATTEN, _T_VAC_CHANNEL, _T_VAC_BOB_SPLIT, _T_VAC_ALICE_DET, _T_VAC_BOB_DET,
  _T_ALICE_ELEC, _T_BOB_ELEC, _T_VAC_EVE_SPLIT) = range(_TERMS_PER_QUAD)
 
-_SAMPLE_COLUMNS = ("x1", "x2", "x3", "x4", "p1", "p2", "p3", "p4")
-_REQUIRED_COLUMNS = ("x1", "x2", "x3", "p1", "p2", "p3")
+# A batch's columns in wire order, keyed by ``eavesdropper_tap``.
+_LAYOUTS = {False: ("x1", "x2", "x3", "p1", "p2", "p3"),
+            True: ("x1", "x2", "x3", "x4", "p1", "p2", "p3", "p4")}
 
 # Argument rules: the source's photon number, and the estimator gain.
 _ARGS = {**SourceParams._CHECKS, "gain": check_real}
@@ -119,7 +120,7 @@ class SampleBatch:
 
     def column_names(self):
         """Column names in wire order, absent columns omitted."""
-        return [name for name in _SAMPLE_COLUMNS if getattr(self, name) is not None]
+        return [name for name in _LAYOUTS[True] if getattr(self, name) is not None]
 
     def columns(self):
         """The column arrays, ordered as in ``column_names``."""
@@ -155,18 +156,20 @@ def _substream(seed, chunk_index, term_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _quadrature_chunk(config, seed, chunk_index, count, term_base, alice_ch, bob_ch,
-                      with_tap):
-    """Generate one chunk of one quadrature's columns (1, 2, 3[, 4])."""
+def _quadrature_chunk(config, seed, chunk_index, count, quad):
+    """Generate one chunk of quadrature ``quad``'s columns (1, 2, 3[, 4])."""
     n0 = config.source.mean_photon_number
     a = config.source.mode_overlap
     b = config.source.orthogonal_weight
     e0 = config.alice_attenuation
     t = config.channel.transmittance
+    alice_ch = getattr(config.alice_detector, quad)
+    bob_ch = getattr(config.bob_detector, quad)
     eta_a = alice_ch.efficiency
     nu_a = alice_ch.noise_variance
     eta_b = bob_ch.efficiency
     nu_b = bob_ch.noise_variance
+    term_base = "xp".index(quad) * _TERMS_PER_QUAD
 
     def draw(term):
         return _substream(seed, chunk_index, term_base + term).standard_normal(count)
@@ -202,14 +205,14 @@ def _quadrature_chunk(config, seed, chunk_index, count, term_base, alice_ch, bob
            + math.sqrt(eta_b / 2.0) * v_bob_split
            - math.sqrt(1.0 - eta_b) * v_bob_det
            + e_bob)
-    tap = None
-    if with_tap:
-        v_eve_split = draw(_T_VAC_EVE_SPLIT)
-        # Ideal conjugate detection of the channel's tapped port.
-        tap = (math.sqrt(e0 * (1.0 - t)) / 2.0 * (q_in - v_split)
-               - math.sqrt((1.0 - e0) * (1.0 - t) / 2.0) * v_atten
-               + math.sqrt(t / 2.0) * v_channel
-               + math.sqrt(0.5) * v_eve_split)
+    if not config.eavesdropper_tap:
+        return out, alice, bob
+    v_eve_split = draw(_T_VAC_EVE_SPLIT)
+    # Ideal conjugate detection of the channel's tapped port.
+    tap = (math.sqrt(e0 * (1.0 - t)) / 2.0 * (q_in - v_split)
+           - math.sqrt((1.0 - e0) * (1.0 - t) / 2.0) * v_atten
+           + math.sqrt(t / 2.0) * v_channel
+           + math.sqrt(0.5) * v_eve_split)
     return out, alice, bob, tap
 
 
@@ -239,31 +242,22 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *,
         raise ParameterError([f"run must be a RunSpec, got {type(run).__name__}"])
 
     n = run.n_samples
-    n_cols = 8 if config.eavesdropper_tap else 6
+    names = _LAYOUTS[config.eavesdropper_tap]
     workspace = 2 * _TERMS_PER_QUAD * min(CHUNK_SIZE, n) * 8
-    needed = n_cols * n * 8 + workspace
+    needed = len(names) * n * 8 + workspace
     if needed > memory_limit_bytes:
         raise BatchSizeError(
-            f"batch of {n} samples x {n_cols} columns needs about {needed} bytes, "
+            f"batch of {n} samples x {len(names)} columns needs about {needed} bytes, "
             f"over the limit of {memory_limit_bytes}")
 
-    cols = {name: np.empty(n) for name in _REQUIRED_COLUMNS}
-    if config.eavesdropper_tap:
-        cols["x4"] = np.empty(n)
-        cols["p4"] = np.empty(n)
-
+    cols = {name: np.empty(n) for name in names}
     for chunk_index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
         start = chunk_index * CHUNK_SIZE
         count = min(CHUNK_SIZE, n - start)
-        sl = slice(start, start + count)
-        for quad, term_base in (("x", 0), ("p", _TERMS_PER_QUAD)):
-            columns = _quadrature_chunk(
-                config, run.seed, chunk_index, count, term_base,
-                getattr(config.alice_detector, quad), getattr(config.bob_detector, quad),
-                config.eavesdropper_tap)
+        for quad in "xp":
+            columns = _quadrature_chunk(config, run.seed, chunk_index, count, quad)
             for mode, values in zip("1234", columns):
-                if values is not None:
-                    cols[quad + mode][sl] = values
+                cols[quad + mode][start:start + count] = values
 
     return SampleBatch(**cols)
 
@@ -291,19 +285,14 @@ def write_sample_csv(file_or_path, batch):
 
 
 def _sample_columns(names):
-    unknown = [c for c in names if c not in _SAMPLE_COLUMNS]
-    if unknown:
-        raise ParameterError([f"unknown sample columns: {', '.join(unknown)}"])
-    missing = [c for c in _REQUIRED_COLUMNS if c not in names]
-    if missing:
-        raise ParameterError([f"sample CSV is missing columns: {', '.join(missing)}"])
+    if tuple(names) not in _LAYOUTS.values():
+        layouts = " or ".join(map(",".join, _LAYOUTS.values()))
+        raise ParameterError([f"sample CSV header must be {layouts}, got {','.join(names)}"])
     return names
 
 
 def read_sample_csv(file_or_path):
-    """Read a batch written by ``write_sample_csv``.
-
-    Returns a ``SampleBatch``; columns absent from the file stay None.
-    Malformed input raises ``ParameterError``.
-    """
+    """Read a batch written by ``write_sample_csv``. The header must be one
+    of the two wire layouts; x4/p4 stay None when the batch has no tap.
+    Malformed input raises ``ParameterError``."""
     return SampleBatch(**tables.read_table(file_or_path, "sample CSV", _sample_columns))

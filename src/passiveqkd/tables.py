@@ -101,6 +101,9 @@ def read_table(file_or_path, label, pick):
         except UnicodeDecodeError as exc:
             raise ParameterError([f"{label} is not UTF-8 text: {exc}"]) from None
         names = [c.strip() for c in line.split(",")]
+        repeated = [c for i, c in enumerate(names) if c in names[:i]]
+        if repeated:
+            raise ParameterError([f"{label} header repeats column '{repeated[0]}'"])
         wanted = pick(names)
         usecols = None if wanted == names else [names.index(c) for c in wanted]
         # numpy streams a path in C, but reads an open file line by line.

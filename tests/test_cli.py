@@ -605,6 +605,55 @@ def test_keyrate_measured_points_need_seed_exits_2(tmp_path, scenario_file,
     assert "seed is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, point, rc", [
+    (["--samples", "1000000000"], {"alice_attenuation": 0.0009, "transmittance": 0.69},
+     2),
+    ([], {"alice_attenuation": 1e-8, "transmittance_db": -120.0,
+          "corr_mean": 0.001, "corr_std": 0.001}, 3),
+], ids=["batch-too-large", "chi-below-zero"])
+def test_keyrate_failure_writes_no_file(tmp_path, scenario_file, capsys, extra,
+                                        point, rc):
+    """A failing measured point leaves neither the curve nor the points
+    file behind."""
+    doc = json.loads((SCENARIOS / "keyrate_vs_distance.json").read_text())
+    doc["measured_points"] = [point]
+    out = tmp_path / "rate.csv"
+    assert main(["keyrate", "--scenario", scenario_file(doc),
+                 "--out", str(out)] + extra) == rc
+    assert capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "rate.points.csv").exists()
+
+
+@pytest.mark.parametrize("blocks, samples, violation", [
+    ("1", "4000", "n_blocks must be >= 2, got 1"),
+    ("6", "10", "10 samples cannot fill 6 blocks of >= 2 samples"),
+], ids=["one-block", "blocks-too-small"])
+@pytest.mark.parametrize("command", ["sweep-n0", "keyrate"])
+def test_blocking_checked_before_sampling(tmp_path, scenario_file, capsys, monkeypatch,
+                                          command, blocks, samples, violation):
+    """A blocking that cannot be estimated is refused before any batch is
+    sampled; ``simulate`` estimates nothing and accepts one block."""
+    doc = base_document()
+    doc["system"]["alice_attenuation"] = 0.0009
+    doc["measured_points"] = [{"alice_attenuation": 0.0009, "transmittance": 0.69,
+                               "corr_mean": 0.315, "corr_std": 0.004},
+                              {"alice_attenuation": 0.0009, "transmittance": 0.69}]
+    path = scenario_file(doc)
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "s.csv"),
+                 "--blocks", "1"]) == 0
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the blocking was checked")
+
+    monkeypatch.setattr(pq.sampling, "simulate_batch", no_sampling)
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", path, "--out", str(out),
+                 "--blocks", blocks, "--samples", samples]) == 2
+    assert capsys.readouterr().err == f"configuration error:\n  - {violation}\n"
+    assert not out.exists()
+
+
 def test_bad_scenario_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope", encoding="utf-8")

@@ -197,10 +197,18 @@ def test_sample_csv_round_trip(small_config, tmp_path):
 
 
 def test_sample_csv_errors():
-    with pytest.raises(pq.ParameterError):
-        pq.read_sample_csv(io.StringIO("x1,x2,bogus\n1,2,3\n"))
-    with pytest.raises(pq.ParameterError):
-        pq.read_sample_csv(io.StringIO("x1,x2,x3\n1,2,3\n"))
+    """The header is one of the two layouts the writer produces; unknown,
+    missing, reordered, half-tapped and repeated columns are all refused."""
+    layouts = "x1,x2,x3,p1,p2,p3 or x1,x2,x3,x4,p1,p2,p3,p4"
+    for header in ("x1,x2,bogus", "x1,x2,x3", "x1,x2,x3,p2,p1,p3",
+                   "x1,x2,x3,x4,p1,p2,p3", "x1,x2,x3,p1,p2,p3,p4",
+                   "x1,x2,x3,p1,p2,p3,x4,p4"):
+        with pytest.raises(pq.ParameterError) as err:
+            pq.read_sample_csv(io.StringIO(f"{header}\n{','.join('1' * 8)}\n"))
+        assert err.value.violations == [
+            f"sample CSV header must be {layouts}, got {header}"]
+    with pytest.raises(pq.ParameterError, match="^sample CSV header repeats column 'x1'$"):
+        pq.read_sample_csv(io.StringIO("x1,x2,x3,p1,p2,p3,x1\n1,2,3,4,5,6,7\n"))
     with pytest.raises(pq.ParameterError):
         pq.read_sample_csv(io.StringIO("# schema: passiveqkd/samples v1\n"))
     with pytest.raises(pq.ParameterError):

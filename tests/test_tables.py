@@ -48,10 +48,13 @@ def test_float_matrix_matches_savetxt(tmp_path):
         assert path.read_bytes() == expected.encode("utf-8"), n_rows
 
 
-@pytest.mark.parametrize("read, label, header, row", [
+READERS = pytest.mark.parametrize("read, label, header, row", [
     (pq.read_points_csv, "points CSV", b"n0,corr_mean,corr_std\n", b"100,0.5,0.01\n"),
     (pq.read_sample_csv, "sample CSV", b"x1,x2,x3,p1,p2,p3\n", b"1,2,3,4,5,6\n"),
 ], ids=["points", "samples"])
+
+
+@READERS
 def test_undecodable_file_is_a_parameter_error(tmp_path, read, label, header, row):
     """A byte that is not UTF-8, in the header's read-ahead or far past it,
     is a violation naming the table, not a UnicodeDecodeError."""
@@ -63,3 +66,18 @@ def test_undecodable_file_is_a_parameter_error(tmp_path, read, label, header, ro
     path.write_bytes(header + row * 10000 + bad)
     with pytest.raises(pq.ParameterError, match=f"^{label} has a malformed row: "):
         read(path)
+
+
+@READERS
+def test_repeated_header_column_is_a_parameter_error(tmp_path, read, label, header,
+                                                     row):
+    """A header naming a column twice is refused, whichever copy the
+    reader would have picked."""
+    first = header.split(b",")[0]
+    path = tmp_path / "t.csv"
+    path.write_bytes(header.rstrip(b"\n") + b"," + first + b"\n"
+                     + row.rstrip(b"\n") + b",1\n")
+    with pytest.raises(pq.ParameterError) as err:
+        read(path)
+    assert err.value.violations == [
+        f"{label} header repeats column '{first.decode()}'"]
