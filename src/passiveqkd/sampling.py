@@ -114,6 +114,21 @@ class SampleBatch:
     x4: np.ndarray | None = None
     p4: np.ndarray | None = None
 
+    def __post_init__(self):
+        """A batch is one of the two wire layouts, with one length."""
+        violations = []
+        if (self.x4 is None) != (self.p4 is None):
+            given, missing = ("x4", "p4") if self.p4 is None else ("p4", "x4")
+            violations.append(f"SampleBatch has {given} but no {missing}: "
+                              "the tap columns come as a pair")
+        lengths = {name: len(col) for name, col in zip(self.column_names(),
+                                                      self.columns())}
+        if len(set(lengths.values())) > 1:
+            violations.append("SampleBatch columns differ in length: "
+                              + ", ".join(f"{n} {k}" for n, k in lengths.items()))
+        if violations:
+            raise ParameterError(violations)
+
     @property
     def n_samples(self):
         return self.x1.shape[0]

@@ -196,6 +196,35 @@ def test_sample_csv_round_trip(small_config, tmp_path):
         assert np.may_share_memory(back.x1, back.p4)
 
 
+def test_sample_batch_layout_is_checked_at_construction(small_config):
+    """x4 and p4 come together and every column has one length, so a batch
+    never writes a header the reader refuses; both layouts round-trip."""
+    c = np.zeros(3)
+    pair = "the tap columns come as a pair"
+    for tap, missing in (({"x4": c}, "x4 but no p4"), ({"p4": c}, "p4 but no x4")):
+        with pytest.raises(pq.ParameterError) as err:
+            pq.SampleBatch(c, c, c, c, c, c, **tap)
+        assert err.value.violations == [f"SampleBatch has {missing}: {pair}"]
+    with pytest.raises(pq.ParameterError) as err:
+        pq.SampleBatch(c, c, c, c, c, np.zeros(2), x4=c, p4=c)
+    assert err.value.violations == [
+        "SampleBatch columns differ in length: x1 3, x2 3, x3 3, x4 3, p1 3, p2 3, p3 2, p4 3"]
+    with pytest.raises(pq.ParameterError) as err:
+        pq.SampleBatch(c, np.zeros(4), c, c, c, c, x4=c)
+    assert err.value.violations == [
+        f"SampleBatch has x4 but no p4: {pair}",
+        "SampleBatch columns differ in length: x1 3, x2 4, x3 3, x4 3, p1 3, p2 3, p3 3"]
+    run = pq.RunSpec(n_samples=300, seed=5)
+    for tap in (False, True):
+        batch = pq.simulate_batch(small_config.replace(eavesdropper_tap=tap), run)
+        buf = io.StringIO()
+        pq.write_sample_csv(buf, batch)
+        back = pq.read_sample_csv(io.StringIO(buf.getvalue()))
+        assert back.column_names() == batch.column_names()
+        for name in batch.column_names():
+            assert np.array_equal(getattr(back, name), getattr(batch, name))
+
+
 def test_sample_csv_errors():
     """The header is one of the two layouts the writer produces; unknown,
     missing, reordered, half-tapped and repeated columns are all refused."""
