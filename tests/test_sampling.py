@@ -173,7 +173,7 @@ def test_simulate_batch_input_types(small_config):
 
 
 def test_sample_csv_round_trip(small_config, tmp_path):
-    """An open file and a path (streamed by numpy) both read back the
+    """An open file and a path (parsed by one kernel) both read back the
     written columns bit for bit, as views of one parsed matrix."""
     run = pq.RunSpec(n_samples=500, seed=19, n_blocks=5)
     batch = pq.simulate_batch(small_config.replace(eavesdropper_tap=True), run)

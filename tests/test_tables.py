@@ -1,7 +1,10 @@
-"""The CSV wire format: field text and the float-matrix writer."""
+"""The CSV wire format: field text, the float-matrix writer and the reader."""
 
 import io
+import re
+import warnings
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -166,3 +169,248 @@ def test_repeated_header_column_is_a_parameter_error(tmp_path, read, label, head
         read(path)
     assert err.value.violations == [
         f"{label} header repeats column '{first.decode()}'"]
+
+
+# --- the reader's kernel --------------------------------------------------
+
+def near_ties(rng, n):
+    """n 17-digit decimals in [8, 10) within 1e-6 ulp of a midpoint M / 2**50
+    between doubles: N * 2**34 - M * 5**16 = r for a small odd r puts
+    N / 10**16 |r| * 2**15 / 10**16 ulps from it."""
+    texts = []
+    for r in range(1 - n, n, 2):
+        m0 = -r * pow(5 ** 16, -1, 2 ** 34) % 2 ** 34  # odd, as r is
+        lo = -(-(8 * 10 ** 16 * 2 ** 34 - r) // 5 ** 16 - m0) // 2 ** 34
+        hi = ((10 ** 17 * 2 ** 34 - r) // 5 ** 16 - m0) // 2 ** 34
+        m = m0 + int(rng.integers(lo, hi)) * 2 ** 34
+        texts.append("%d.%016d" % divmod((r + m * 5 ** 16) // 2 ** 34, 10 ** 16))
+    return texts
+
+
+def truncated_midpoints(rng, n):
+    """Midpoints between neighbouring doubles in the kernel's domain,
+    truncated to 18, 20 and 25 significant digits."""
+    texts = []
+    for v in 10 ** rng.uniform(-4, 8, n):
+        mid = (Decimal(v) + Decimal(np.nextafter(v, np.inf))) / 2
+        digits = format(mid, ".30f")
+        lead = len(digits) - len(digits.lstrip("0."))
+        for keep in (18, 20, 25):
+            texts.append(digits[:lead + keep + ("." in digits[lead:lead + keep])])
+    return texts
+
+
+def reader_family(name, rng):
+    """Field texts of one seeded family, and the share of them the kernel
+    must leave to ``np.loadtxt`` (None: any share)."""
+    n = 6000
+    sign = rng.choice([-1.0, 1.0], n)
+    log_uniform = 10 ** rng.uniform(-4, 8, n) * sign
+    if name in ("%.17g", "%.16g", "%.15g"):
+        return [name % v for v in log_uniform], 0.0
+    if name == "bits":  # random bit patterns of doubles in the domain
+        low, high = np.array([1e-4, 1e8]).view(np.int64)
+        bits = rng.integers(low, high, n).view(np.float64) * sign
+        return ["%.17g" % v for v in bits], 0.0
+    if name == "decimals":  # up to 17 digits, any dot, some leading zeros
+        texts = []
+        for size, zeros, neg in zip(rng.integers(2, 18, n), rng.integers(0, 4, n),
+                                    sign < 0):
+            digits = "".join(map(str, rng.integers(0, 10, size)))
+            dot = int(rng.integers(1, size))
+            whole, frac = digits[:dot].lstrip("0") or "0", digits[dot:]
+            if whole == "0":
+                frac = "0" * zeros + frac
+            texts.append("-" * int(neg) + whole + "." + frac)
+        return texts, None
+    if name == "powers-of-two":  # 80 neighbours of each 2**k in the domain
+        near = (2.0 ** np.arange(-13, 27)).view(np.int64)[:, None] + np.arange(-40, 41)
+        values = near.ravel().view(np.float64)
+        values = values[(values >= 1e-4) & (values < 1e8)]
+        return [t for v in np.concatenate([values, -values]) for t in ["%.17g" % v]
+                if "e" not in t], 0.02
+    if name == "near-ties":
+        return near_ties(rng, 400), 1.0
+    if name == "truncated-midpoints":
+        return truncated_midpoints(rng, 700), 1.0
+    raise ValueError(name)
+
+
+def spy_on_loadtxt(monkeypatch):
+    """Record the lines every ``np.loadtxt`` call on a text stream reads."""
+    seen = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        if isinstance(fname, io.StringIO):
+            seen.append(fname.getvalue())
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return seen
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("family", [
+    "%.17g", "bits", "%.16g", "%.15g", "decimals", "powers-of-two", "near-ties",
+    "truncated-midpoints"])
+def test_reader_kernel_matches_float(tmp_path, monkeypatch, family):
+    """Every value read is ``float(text)`` bit for bit, the same as the
+    ``np.loadtxt`` path, and the kernel leaves to ``np.loadtxt`` exactly
+    what it cannot certify: near-ties and over 17 digits, but no ``%.17g``,
+    ``%.16g`` or ``%.15g`` text of a double in its domain."""
+    texts, refused_share = reader_family(family, np.random.default_rng(26))
+    if family == "near-ties":  # each within 1e-6 ulp of a midpoint, checked exactly
+        for text in texts:
+            v = float(text)
+            gap = min(abs(Fraction(text) - (Fraction(v) + Fraction(float(w))) / 2)
+                      for w in (np.nextafter(v, np.inf), np.nextafter(v, 0)))
+            assert gap < Fraction(v) * 2 ** -52 * Fraction(1, 10 ** 6), text
+    if family == "truncated-midpoints":
+        assert min(len(t.replace(".", "").lstrip("0")) for t in texts) == 18
+    body = "v\n" + "\n".join(texts) + "\n"
+    path = tmp_path / "t.csv"
+    path.write_text(body, encoding="utf-8")
+    want = np.array([float(t) for t in texts])
+    reference = np.loadtxt(path, skiprows=1, ndmin=2)[:, 0]
+    assert np.array_equal(bits(reference), bits(want))
+    seen = spy_on_loadtxt(monkeypatch)
+    for source in (path, io.StringIO(body)):
+        seen.clear()
+        got = tables.read_table(source, "t", lambda names: names)["v"]
+        assert np.array_equal(bits(got), bits(want))
+        refused = sum(chunk.count("\n") for chunk in seen) / len(texts)
+        if refused_share == 1.0:
+            assert refused == 1.0
+        elif refused_share is not None:
+            assert refused <= refused_share, refused
+
+
+def sample_text(columns, rows, seed):
+    """A sample CSV of ``rows`` seeded normal rows of ``columns`` columns."""
+    names = ["x1", "x2", "x3", "x4", "p1", "p2", "p3", "p4"]
+    if columns == 6:
+        names = [c for c in names if not c.endswith("4")]
+    buf = io.StringIO()
+    tables.write_table(buf, "samples", names,
+                       np.random.default_rng(seed).normal(0.0, 20.0, (rows, columns)))
+    return buf.getvalue()
+
+
+def read_both(tmp_path, text):
+    """``read_sample_csv`` of the text as a path and as an open file, both
+    as one (rows, columns) matrix; they must agree bit for bit."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = [np.column_stack(pq.read_sample_csv(source).columns())
+           for source in (path, io.StringIO(text, newline=""))]
+    assert np.array_equal(bits(got[0]), bits(got[1]))
+    return got[0]
+
+
+@pytest.mark.parametrize("field", [
+    "0", "-0", "0.0", "-0.0", "nan", "inf", "-inf", "1e-05", "1.5e-05", "3", "+1.5",
+    " 1.5", "1.5 ", "123456789.5", "1.234567890123456789", ".5", "5."])
+def test_reader_refused_fields_take_their_rows_alone(tmp_path, monkeypatch, field):
+    """A field the kernel refuses sends its row, and only that row, to
+    ``np.loadtxt``; the table reads as ``np.loadtxt`` reads it whole."""
+    lines = sample_text(8, 40, 1).split("\n")
+    cells = lines[22].split(",")
+    cells[3] = field
+    lines[22] = ",".join(cells)
+    text = "\n".join(lines)
+    want = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=2, ndmin=2)
+    seen = spy_on_loadtxt(monkeypatch)
+    got = read_both(tmp_path, text)
+    assert np.array_equal(bits(got), bits(want))
+    assert seen == [lines[22] + "\n"] * 2
+
+
+@pytest.mark.parametrize("edit", ["crlf", "blank-line", "comment-line",
+                                  "no-last-newline", "comment-after-rows"])
+@pytest.mark.parametrize("chunk", [64, 1 << 18])
+def test_reader_line_structure_matches_loadtxt(tmp_path, monkeypatch, edit, chunk):
+    """CRLF line ends, blank and ``#`` lines amid the rows and a last line
+    without a newline read as ``np.loadtxt`` reads the whole table."""
+    monkeypatch.setattr(tables, "_CHUNK", chunk)
+    text = sample_text(6, 60, 2)
+    lines = text.split("\n")
+    if edit == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif edit == "blank-line":
+        text = "\n".join(lines[:30] + ["", ""] + lines[30:])
+    elif edit == "comment-line":
+        text = "\n".join(lines[:30] + ["# a note"] + lines[30:])
+    elif edit == "no-last-newline":
+        text = text.rstrip("\n")
+    else:
+        text += "# n=60\n"
+    want = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", skiprows=2, ndmin=2)
+    assert want.shape == (60, 6)
+    assert np.array_equal(bits(read_both(tmp_path, text)), bits(want))
+
+
+@pytest.mark.parametrize("columns", [6, 8])
+def test_reader_rows_across_chunk_edges(tmp_path, monkeypatch, columns):
+    """With 64-byte chunks every row straddles a chunk edge; the kernel
+    alone reads both layouts back bit for bit, as column views."""
+    text = sample_text(columns, 300, columns)
+    want = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=2)
+    monkeypatch.setattr(tables, "_CHUNK", 64)
+    seen = spy_on_loadtxt(monkeypatch)
+    got = read_both(tmp_path, text)
+    assert seen == []
+    assert np.array_equal(bits(got), bits(want))
+    back = pq.read_sample_csv(io.StringIO(text))
+    assert np.may_share_memory(back.x1, back.columns()[-1])
+
+
+@pytest.mark.parametrize("chunk", [64, 1 << 18])
+@pytest.mark.parametrize("row, where", [
+    ("1,2,3", 5), ("1,2,3", 250), ("1.5,2.5,3.5,four,5.5,6.5", 250),
+    ("1.5,2.5,3.5,4.5,5.5,6.5,7.5", 250), ("1.5,2.5,3.5,4.5,5.5,6.5,7.5", None),
+    ("1.5,2.5,3.5,4.5,5.5", None)])
+def test_reader_errors_are_those_of_loadtxt(monkeypatch, chunk, row, where):
+    """Short, non-numeric and too-wide rows, early, late or on every line,
+    raise the ``ParameterError`` the whole-table ``np.loadtxt`` gives."""
+    monkeypatch.setattr(tables, "_CHUNK", chunk)
+    lines = sample_text(6, 300, 3).split("\n")
+    if where is None:
+        lines[2:-1] = [row] * 300
+    else:
+        lines.insert(where, row)
+    text = "\n".join(lines)
+    try:
+        data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=2, ndmin=2)
+        expected = f"sample CSV rows have {data.shape[1]} fields, header names 6"
+    except ValueError as exc:
+        expected = f"sample CSV has a malformed row: {exc}"
+    with pytest.raises(pq.ParameterError) as err:
+        pq.read_sample_csv(io.StringIO(text))
+    assert err.value.violations == [expected]
+
+
+def test_reader_kernel_raises_no_warning(tmp_path):
+    """The worst fields numpy arithmetic can meet in the kernel (huge digit
+    runs, zeros, bare dots, the largest doubles, non-digits) raise no
+    warning on their way to ``np.loadtxt``."""
+    worst = ["99999999999999999999.99999999999999999999", "0.000000000000000000000001",
+             "-0.0", "0.0", "-.", ".", "-", "1.7976931348623157e308", "5e-324",
+             "123456789012345678901234567890.5", "9.9999999999999999999999", "1.5x",
+             "-99999999.99999999999", "0.00000000000000000009",
+             "18446744073709551615.5",
+             "1..5", "--1.5", "1.-5", "é.5"]
+    body = "v\n" + "\n".join(worst) + "\n"
+    path = tmp_path / "w.csv"
+    path.write_text(body, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pq.ParameterError, match="^w has a malformed row: "):
+            tables.read_table(path, "w", lambda names: names)
+        good = [w for w in worst if re.fullmatch(r"-?[0-9]+\.[0-9]+", w)]
+        got = tables.read_table(io.StringIO("v\n" + "\n".join(good) + "\n"), "w",
+                                lambda names: names)["v"]
+    assert np.array_equal(bits(got), bits([float(w) for w in good]))
