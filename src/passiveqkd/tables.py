@@ -300,15 +300,15 @@ def read_table(file_or_path, label, pick):
                     text = f.read()
                     # Lone surrogates pass as bytes that the kernel refuses.
                     body = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-                    whole = io.StringIO(text)
                     skip = offset = 0
                 else:
-                    body, whole = open(file_or_path, "rb"), file_or_path
+                    text, body = None, open(file_or_path, "rb")
                 with body:
                     body.seek(offset)
                     try:
                         data = _read_matrix(body, len(names), usecols)
                     except ValueError:
+                        whole = file_or_path if text is None else io.StringIO(text)
                         data = np.loadtxt(whole, delimiter=",", skiprows=skip,
                                           usecols=usecols, ndmin=2, encoding="utf-8")
         except ValueError as exc:
@@ -430,9 +430,9 @@ def _decimal_fields(words, starts, dots, seps):
     digits, and y = D / 10**f is correctly rounded for D <= 2**53
     (Clinger's fast path). Above it, t = (y * 10**f - D) / (10**f * ulp(y)),
     from Dekker's exact product, is how many ulps y lies above D / 10**f,
-    and y - rint(t) ulps is correctly rounded. A value is refused when t lies within 1e-6 of a
-    tie, when y is a power of two with D / 10**f below it (the ulp below
-    is half), or when the step is over 2 ulps.
+    and y - rint(t) ulps is correctly rounded. A value is refused when t
+    lies within 1e-6 of a tie, when y is a power of two with D / 10**f
+    below it (the ulp below is half), or when the step is over 2 ulps.
     """
     buf = words.view(np.uint8)
     neg = buf[starts] == _MINUS_CHAR
