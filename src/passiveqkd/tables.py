@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import warnings
 
 import numpy as np
@@ -297,20 +298,26 @@ def read_table(file_or_path, label, pick):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
                 if f is file_or_path:
-                    text = f.read()
+                    # Read in pieces: one read would hold the text twice.
+                    pieces = list(iter(lambda: f.read(_CHUNK), ""))
+                    n_lines, skip = sum(piece.count("\n") for piece in pieces), 0
                     # Lone surrogates pass as bytes that the kernel refuses.
-                    body = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-                    skip = offset = 0
+                    chunks = (piece.encode("utf-8", "surrogatepass") for piece in pieces)
                 else:
-                    text, body = None, open(file_or_path, "rb")
-                with body:
+                    body = f.buffer  # the rows are the bytes from offset on
                     body.seek(offset)
-                    try:
-                        data = _read_matrix(body, len(names), usecols)
-                    except ValueError:
-                        whole = file_or_path if text is None else io.StringIO(text)
-                        data = np.loadtxt(whole, delimiter=",", skiprows=skip,
-                                          usecols=usecols, ndmin=2, encoding="utf-8")
+                    n_lines = sum(int(np.count_nonzero(np.frombuffer(b, np.uint8) == _LF))
+                                  for b in iter(lambda: body.read(1 << 20), b""))
+                    body.seek(offset)
+                    chunks = iter(lambda: body.read(_CHUNK), b"")
+                try:
+                    data = _read_matrix(chunks, n_lines, len(names), usecols)
+                except ValueError:
+                    whole = file_or_path
+                    if f is file_or_path:
+                        whole = io.StringIO("".join(pieces))
+                    data = np.loadtxt(whole, delimiter=",", skiprows=skip,
+                                      usecols=usecols, ndmin=2, encoding="utf-8")
         except ValueError as exc:
             raise ParameterError([f"{label} has a malformed row: {exc}"]) from None
     if data.shape[0] == 0:
@@ -321,36 +328,30 @@ def read_table(file_or_path, label, pick):
     return {name: data[:, i] for i, name in enumerate(wanted)}
 
 
-def _read_matrix(body, k, usecols):
-    """The float matrix of the lines of k fields in a binary stream, from
-    its position on; ``usecols`` picks columns as in ``np.loadtxt``.
-
-    The stream is read twice: once to count its newlines, which sizes the
-    matrix, then in chunks of whole lines through one padded word buffer,
-    which doubles when a line outgrows it.
+def _read_matrix(chunks, n_lines, k, usecols):
+    """The float matrix of the lines of k fields in the byte strings
+    ``chunks``, ``n_lines`` of which end in a newline; ``usecols`` picks
+    columns as in ``np.loadtxt``. The chunks pass in whole lines through
+    one padded word buffer, which grows when a line outgrows it.
     """
-    start = body.tell()
-    n_lines = sum(int(np.count_nonzero(np.frombuffer(block, np.uint8) == _LF))
-                  for block in iter(lambda: body.read(1 << 20), b""))
-    body.seek(start)
     out = np.empty((n_lines + 1, k if usecols is None else len(usecols)))
     words = np.zeros((_PAD + 2 * _CHUNK) // 8 + 2, np.uint64)
     rows, end = 0, _PAD
-    while True:
-        if end + _CHUNK >= words.nbytes:
-            words = np.concatenate((words, np.zeros_like(words)))
+    for chunk in itertools.chain(chunks, [b""]):
+        size = end + len(chunk) + 16  # the last aligned load and a final newline
+        if size > words.nbytes:
+            words = np.concatenate((words, np.zeros(size // 8, np.uint64)))
         buf = words.view(np.uint8)
-        got = body.readinto(buf[end:end + _CHUNK])
-        end += got
-        if not got and end > _PAD and buf[end - 1] != _LF:  # no newline at the end
+        buf[end:end + len(chunk)] = np.frombuffer(chunk, np.uint8)
+        end += len(chunk)
+        if not chunk and end > _PAD and buf[end - 1] != _LF:  # no newline at the end
             buf[end] = _LF
             end += 1
         parsed, stop = _parse_lines(words, end, k, usecols, out[rows:])
         rows += parsed
-        if not got:
-            return out[:rows]
         buf[_PAD:_PAD + end - stop] = buf[stop:end]
         end += _PAD - stop
+    return out[:rows]
 
 
 def _parse_lines(words, end, k, usecols, out):

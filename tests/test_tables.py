@@ -330,11 +330,12 @@ def test_reader_refused_fields_take_their_rows_alone(tmp_path, monkeypatch, fiel
 
 
 @pytest.mark.parametrize("edit", ["crlf", "blank-line", "comment-line",
-                                  "no-last-newline", "comment-after-rows"])
+                                  "no-last-newline", "comment-after-rows", "long-line"])
 @pytest.mark.parametrize("chunk", [64, 1 << 18])
 def test_reader_line_structure_matches_loadtxt(tmp_path, monkeypatch, edit, chunk):
-    """CRLF line ends, blank and ``#`` lines amid the rows and a last line
-    without a newline read as ``np.loadtxt`` reads the whole table."""
+    """CRLF line ends, blank and ``#`` lines amid the rows, a last line
+    without a newline and a line longer than many chunks read as
+    ``np.loadtxt`` reads the whole table."""
     monkeypatch.setattr(tables, "_CHUNK", chunk)
     text = sample_text(6, 60, 2)
     lines = text.split("\n")
@@ -346,11 +347,17 @@ def test_reader_line_structure_matches_loadtxt(tmp_path, monkeypatch, edit, chun
         text = "\n".join(lines[:30] + ["# a note"] + lines[30:])
     elif edit == "no-last-newline":
         text = text.rstrip("\n")
+    elif edit == "long-line":
+        lines[30] = "1." + "3" * 1000 + lines[30][lines[30].index(","):]
+        text = "\n".join(lines)
     else:
         text += "# n=60\n"
     want = np.loadtxt(io.StringIO(text, newline=""), delimiter=",", skiprows=2, ndmin=2)
     assert want.shape == (60, 6)
+    seen = spy_on_loadtxt(monkeypatch)
     assert np.array_equal(bits(read_both(tmp_path, text)), bits(want))
+    if edit == "long-line":  # the kernel's buffer grows to hold it
+        assert seen == [lines[30] + "\n"] * 2
 
 
 @pytest.mark.parametrize("columns", [6, 8])
