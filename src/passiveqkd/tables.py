@@ -269,7 +269,7 @@ def read_table(file_or_path, label, pick):
     above 2**53 the exact residual y * 10**f - D (``_times_p10``) moves y
     by the whole ulps that make it correctly rounded. A row holding a
     field the kernel refuses (exponents, no dot, nan, inf, spaces, CR,
-    more digits, a residual too close to a tie) is parsed by ``np.loadtxt``
+    over 17 digits, a residual too close to a tie) is parsed by ``np.loadtxt``
     from those lines alone; a chunk with blank or ``#`` lines or another
     field count by ``np.loadtxt`` whole. Any ``ValueError`` on the way
     reruns ``np.loadtxt`` over the whole table, so errors and results are
