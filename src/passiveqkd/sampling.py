@@ -19,8 +19,12 @@ samples rather than folded into an effective variance.
 Reproducibility contract: all randomness derives from counter-based
 Philox streams keyed by ``(seed, chunk_index, term_index)``, where a
 chunk is a fixed-size range of trial indices and a term is one physical
-noise source. Results are therefore bit-identical for a given
-``(SystemConfig, RunSpec)``.
+noise source. Each (chunk, quadrature) is one job on the thread pool of
+``tables.ordered_map``; a job draws its streams in blocks of
+``_DRAW_BLOCK`` rows, which continue each stream as one whole-chunk draw
+would, into the rows of its chunk alone. Results are therefore
+bit-identical for a given ``(SystemConfig, RunSpec)``, whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -58,6 +62,13 @@ __all__ = [
 # Trials per RNG chunk. Fixed so that the substream layout, and hence
 # every sample, is independent of batch size.
 CHUNK_SIZE = 1 << 16
+
+# Rows a sampler job draws from each of its streams at a time. On a 2-core
+# host 8192 rows made the sweeps' points (4 threads, each sampling in its own
+# thread) slower than the whole-chunk draws before the pool, through the
+# per-call cost of more numpy calls; 32768 rows raised the simulate-io
+# benchmark's peak RSS by 3 MB.
+_DRAW_BLOCK = 16384
 
 # Refuse batches whose column storage would exceed this many bytes.
 DEFAULT_MEMORY_LIMIT = 8 << 30
@@ -171,8 +182,11 @@ def _substream(seed, chunk_index, term_index):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _quadrature_chunk(config, seed, chunk_index, count, quad):
-    """Generate one chunk of quadrature ``quad``'s columns (1, 2, 3[, 4])."""
+def _quadrature_job(config, seed, n, cols, job):
+    """Fill chunk ``chunk_index`` of quadrature ``quad``'s columns
+    (1, 2, 3[, 4]) in ``cols``, ``job`` being (chunk_index, quad), from
+    ``_DRAW_BLOCK`` rows of each stream at a time."""
+    chunk_index, quad = job
     n0 = config.source.mean_photon_number
     a = config.source.mode_overlap
     b = config.source.orthogonal_weight
@@ -185,50 +199,55 @@ def _quadrature_chunk(config, seed, chunk_index, count, quad):
     eta_b = bob_ch.efficiency
     nu_b = bob_ch.noise_variance
     term_base = "xp".index(quad) * _TERMS_PER_QUAD
-
-    def draw(term):
-        return _substream(seed, chunk_index, term_base + term).standard_normal(count)
-
+    n_terms = _TERMS_PER_QUAD if config.eavesdropper_tap else _T_VAC_EVE_SPLIT
+    streams = [_substream(seed, chunk_index, term_base + term) for term in range(n_terms)]
+    targets = [cols[quad + mode] for mode in "1234"[:len(cols) // 2]]
     thermal = math.sqrt(2.0 * n0 + 1.0)  # the std of a thermal quadrature
-    q_in = thermal * draw(_T_THERMAL)
-    q_orth = thermal * draw(_T_THERMAL_ORTH)
-    v_split = draw(_T_VAC_SPLIT)
-    v_split_orth = draw(_T_VAC_SPLIT_ORTH)
-    v_alice_split = draw(_T_VAC_ALICE_SPLIT)
-    v_atten = draw(_T_VAC_ATTEN)
-    v_channel = draw(_T_VAC_CHANNEL)
-    v_bob_split = draw(_T_VAC_BOB_SPLIT)
-    v_alice_det = draw(_T_VAC_ALICE_DET)
-    v_bob_det = draw(_T_VAC_BOB_DET)
-    e_alice = math.sqrt(nu_a) * draw(_T_ALICE_ELEC)
-    e_bob = math.sqrt(nu_b) * draw(_T_BOB_ELEC)
 
-    # Outgoing mode after the source splitter and the attenuator.
-    out = (math.sqrt(e0 / 2.0) * (q_in - v_split)
-           - math.sqrt(1.0 - e0) * v_atten)
-    # Alice's conjugate-detector reading of the retained mode; the
-    # mismatched mode component enters with amplitude b.
-    alice = ((math.sqrt(eta_a) / 2.0)
-             * (a * (q_in + v_split) + b * (q_orth + v_split_orth))
-             + math.sqrt(eta_a / 2.0) * v_alice_split
-             - math.sqrt(1.0 - eta_a) * v_alice_det
-             + e_alice)
-    # Bob's reading after channel loss and his detector.
-    bob = (math.sqrt(e0 * t * eta_b) / 2.0 * (q_in - v_split)
-           - math.sqrt((1.0 - e0) * t * eta_b / 2.0) * v_atten
-           - math.sqrt((1.0 - t) * eta_b / 2.0) * v_channel
-           + math.sqrt(eta_b / 2.0) * v_bob_split
-           - math.sqrt(1.0 - eta_b) * v_bob_det
-           + e_bob)
-    if not config.eavesdropper_tap:
-        return out, alice, bob
-    v_eve_split = draw(_T_VAC_EVE_SPLIT)
-    # Ideal conjugate detection of the channel's tapped port.
-    tap = (math.sqrt(e0 * (1.0 - t)) / 2.0 * (q_in - v_split)
-           - math.sqrt((1.0 - e0) * (1.0 - t) / 2.0) * v_atten
-           + math.sqrt(t / 2.0) * v_channel
-           + math.sqrt(0.5) * v_eve_split)
-    return out, alice, bob, tap
+    start = chunk_index * CHUNK_SIZE
+    stop = min(start + CHUNK_SIZE, n)
+    for lo in range(start, stop, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, stop)
+        draws = [stream.standard_normal(hi - lo) for stream in streams]
+        q_in = thermal * draws[_T_THERMAL]
+        q_orth = thermal * draws[_T_THERMAL_ORTH]
+        v_split = draws[_T_VAC_SPLIT]
+        v_split_orth = draws[_T_VAC_SPLIT_ORTH]
+        v_alice_split = draws[_T_VAC_ALICE_SPLIT]
+        v_atten = draws[_T_VAC_ATTEN]
+        v_channel = draws[_T_VAC_CHANNEL]
+        v_bob_split = draws[_T_VAC_BOB_SPLIT]
+        v_alice_det = draws[_T_VAC_ALICE_DET]
+        v_bob_det = draws[_T_VAC_BOB_DET]
+        e_alice = math.sqrt(nu_a) * draws[_T_ALICE_ELEC]
+        e_bob = math.sqrt(nu_b) * draws[_T_BOB_ELEC]
+
+        # Outgoing mode after the source splitter and the attenuator.
+        out = (math.sqrt(e0 / 2.0) * (q_in - v_split)
+               - math.sqrt(1.0 - e0) * v_atten)
+        # Alice's conjugate-detector reading of the retained mode; the
+        # mismatched mode component enters with amplitude b.
+        alice = ((math.sqrt(eta_a) / 2.0)
+                 * (a * (q_in + v_split) + b * (q_orth + v_split_orth))
+                 + math.sqrt(eta_a / 2.0) * v_alice_split
+                 - math.sqrt(1.0 - eta_a) * v_alice_det
+                 + e_alice)
+        # Bob's reading after channel loss and his detector.
+        bob = (math.sqrt(e0 * t * eta_b) / 2.0 * (q_in - v_split)
+               - math.sqrt((1.0 - e0) * t * eta_b / 2.0) * v_atten
+               - math.sqrt((1.0 - t) * eta_b / 2.0) * v_channel
+               + math.sqrt(eta_b / 2.0) * v_bob_split
+               - math.sqrt(1.0 - eta_b) * v_bob_det
+               + e_bob)
+        columns = [out, alice, bob]
+        if config.eavesdropper_tap:
+            # Ideal conjugate detection of the channel's tapped port.
+            columns.append(math.sqrt(e0 * (1.0 - t)) / 2.0 * (q_in - v_split)
+                           - math.sqrt((1.0 - e0) * (1.0 - t) / 2.0) * v_atten
+                           + math.sqrt(t / 2.0) * v_channel
+                           + math.sqrt(0.5) * draws[_T_VAC_EVE_SPLIT])
+        for target, values in zip(targets, columns):
+            target[lo:hi] = values
 
 
 def simulate_batch(config: SystemConfig, run: RunSpec, *,
@@ -244,8 +263,9 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *,
         Batch size and seed. ``run.n_blocks`` is carried for the
         estimation stage and does not influence sampling.
     memory_limit_bytes : int
-        Refuse (with ``BatchSizeError``) batches whose column storage
-        would exceed this limit, before any sampling starts.
+        Refuse (with ``BatchSizeError``) batches whose column storage,
+        plus the draws of the pool's running jobs, would exceed this
+        limit, before any sampling starts.
 
     Returns
     -------
@@ -258,7 +278,8 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *,
 
     n = run.n_samples
     names = _LAYOUTS[config.eavesdropper_tap]
-    workspace = 2 * _TERMS_PER_QUAD * min(CHUNK_SIZE, n) * 8
+    # Each running job holds one block of draws from each of its streams.
+    workspace = tables._WORKERS * _TERMS_PER_QUAD * min(_DRAW_BLOCK, n) * 8
     needed = len(names) * n * 8 + workspace
     if needed > memory_limit_bytes:
         raise BatchSizeError(
@@ -266,14 +287,10 @@ def simulate_batch(config: SystemConfig, run: RunSpec, *,
             f"over the limit of {memory_limit_bytes}")
 
     cols = {name: np.empty(n) for name in names}
-    for chunk_index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE):
-        start = chunk_index * CHUNK_SIZE
-        count = min(CHUNK_SIZE, n - start)
-        for quad in "xp":
-            columns = _quadrature_chunk(config, run.seed, chunk_index, count, quad)
-            for mode, values in zip("1234", columns):
-                cols[quad + mode][start:start + count] = values
-
+    jobs = [(chunk_index, quad) for chunk_index in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)
+            for quad in "xp"]
+    for _ in tables.ordered_map(partial(_quadrature_job, config, run.seed, n, cols), jobs):
+        pass
     return SampleBatch(**cols)
 
 
@@ -296,7 +313,7 @@ def write_sample_csv(file_or_path, batch):
     (not ``repr``: 0.1 is written 0.10000000000000001). Lines end with LF.
     """
     tables.write_table(file_or_path, "samples", batch.column_names(),
-                       np.column_stack(batch.columns()))
+                       tuple(batch.columns()))
 
 
 def _sample_columns(names):

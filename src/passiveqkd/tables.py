@@ -6,14 +6,22 @@ digits, so they read back bit-identical: the reader certifies every value
 it parses itself as the correctly rounded double of its text, and leaves
 the rest to ``np.loadtxt``. Readers skip blank and ``#`` lines wherever
 they appear.
+
+The float-matrix writer and the reader run their blocks on a thread pool
+of a fixed ``_WORKERS`` threads through ``ordered_map``. Each block's text
+or values depend on that block alone and are taken in order, so every
+byte written and every value read is the same for any worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
-import itertools
+import os
+import threading
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -21,13 +29,19 @@ from .errors import ParameterError
 
 FLOAT_FMT = "%.17g"
 
-# Rows the matrix writer formats per pass of its exact numpy kernel (see
-# ``write_table``). On the simulate-io benchmark (500k trials, 2-core x86-64,
-# numpy 2.4.6; one run per size, seven at 2048) peak RSS read 88.9 MB at
-# 512 and 1024 rows, 88.8-89.0 at 2048, 91.2 at 4096 and 97.1 at 8192,
-# against 88.0-88.2 MB for one ``%`` per float; wall_s was 1.6, 1.7,
-# 1.5-2.2, 1.9 and 2.3 s.
-_ROW_BLOCK = 2048
+# Threads of the package's one pool (see ``ordered_map``): the usable CPUs,
+# at most 4. Derived at import and not settable; no result depends on it.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# Marks the threads of a pool (see ``mark_pool_thread``).
+_POOL_THREAD = threading.local()
+
+# Rows the matrix writer formats per block of its exact numpy kernel, one
+# block a pool job (see ``write_table``); up to 2 * ``_WORKERS`` blocks and
+# their text are held at once. On the simulate-io benchmark (500k trials,
+# 2-core x86-64) 4096 rows read wall_s 6% lower than 2048 (median of 9
+# pairs, faster in 8) for 3-4% more peak RSS.
+_ROW_BLOCK = 4096
 
 # The kernel's domain: every double with 1e-4 <= |v| < 1e8 has fixed-point
 # ``%.17g`` text, with at most 8 integer and 20 fraction digits.
@@ -69,9 +83,12 @@ _ZPAD, _LEAD, _TRAIL = 0, 10000, 20000
 _BLANK, _MINUS, _DOT, _COMMA, _NEWLINE = np.frombuffer(b"       -   .,   \n   ",
                                                        np.uint32)
 
-# Bytes of whole lines the reader's kernel parses per pass (see
-# ``read_table``).
-_CHUNK = 1 << 18
+# Bytes the reader takes from a file per read; each read, cut at its last
+# newline, gives one piece of whole lines that its kernel parses as a pool
+# job (see ``read_table``). On the simulate-io benchmark (2-core x86-64)
+# 256 kB pieces read wall_s 0.99-1.01 s against 0.86-0.90 s at 512 kB; a
+# running piece's temporaries grow with its size.
+_CHUNK = 1 << 19
 # Bytes before a chunk in the reader's buffer: the lowest fraction word of
 # a field starts 24 bytes before its separator.
 _PAD = 24
@@ -112,6 +129,42 @@ def format_value(value):
     return FLOAT_FMT % value
 
 
+def mark_pool_thread():
+    """Mark the calling thread as a pool's: ``ordered_map`` maps in it."""
+    _POOL_THREAD.active = True
+
+
+def ordered_map(fn, items):
+    """Yield ``fn(item)`` for each of ``items``, in order, computed on
+    ``_WORKERS`` threads with at most 2 * ``_WORKERS`` items in flight.
+
+    An exception from ``fn`` or from ``items`` cancels the items not yet
+    started and joins the threads before it propagates; a consumer that
+    stops early must close the generator (``contextlib.closing``) for the
+    same. Called from a thread marked by ``mark_pool_thread``, as the
+    pool's own are, it maps in that thread, so that pools never nest.
+    """
+    if getattr(_POOL_THREAD, "active", False):
+        yield from map(fn, items)
+        return
+    # Imported here: concurrent.futures loads logging, which would add to
+    # the time of every import of the package.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending = collections.deque()
+    with ThreadPoolExecutor(_WORKERS, initializer=mark_pool_thread) as pool:
+        try:
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) == 2 * _WORKERS:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 @contextlib.contextmanager
 def _opened(file_or_path, mode):
     """Yield the caller's open text file, or open the path for the block.
@@ -128,8 +181,11 @@ def _opened(file_or_path, mode):
 def write_table(file_or_path, kind, header, rows, summary=()):
     """Write a table of schema ``kind``.
 
-    ``rows`` is a float matrix or row tuples. A matrix is written in blocks
-    of ``_ROW_BLOCK`` rows by a numpy kernel that gives the same bytes as
+    ``rows`` is a float matrix, the tuple of a matrix's columns (1-D float
+    arrays of one length), or a list of row tuples. A matrix is written in
+    blocks of ``_ROW_BLOCK`` rows, each stacked from its column slices and
+    formatted on the pool of ``ordered_map``, then written in order. A
+    numpy kernel gives the same bytes as
     ``np.savetxt(fmt=FLOAT_FMT, delimiter=",")``, without a ``%`` per float.
     The kernel forms each value's 17 significant digits exactly: Dekker's
     product of |v| and a power of ten, rounded half-even by ``np.rint``,
@@ -142,9 +198,13 @@ def write_table(file_or_path, kind, header, rows, summary=()):
     with _opened(file_or_path, "w") as f:
         f.write(f"# schema: {SCHEMAS[kind]}\n")
         f.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray):
-            for start in range(0, len(rows), _ROW_BLOCK):
-                _write_block(f, rows[start:start + _ROW_BLOCK])
+        if isinstance(rows, (np.ndarray, tuple)):
+            columns = tuple(rows.T) if isinstance(rows, np.ndarray) else rows
+            starts = range(0, len(columns[0]), _ROW_BLOCK)
+            with contextlib.closing(ordered_map(partial(_block_text, columns),
+                                                starts)) as texts:
+                for text in texts:
+                    f.write(text)
         else:
             for row in rows:
                 f.write(",".join(format_value(v) for v in row) + "\n")
@@ -152,16 +212,18 @@ def write_table(file_or_path, kind, header, rows, summary=()):
             f.write("# " + " ".join(f"{k}={format_value(v)}" for k, v in summary) + "\n")
 
 
-def _write_block(f, block):
-    """Write a block of matrix rows: runs of rows inside the kernel's domain
+def _block_text(columns, first):
+    """The text of the ``_ROW_BLOCK`` matrix rows from row ``first``,
+    stacked from ``columns``: runs of rows inside the kernel's domain
     through ``_exact_text``, the other runs through ``_percent_text``."""
-    block = np.asarray(block, dtype=np.float64)
+    block = np.column_stack([c[first:first + _ROW_BLOCK] for c in columns]).astype(
+        np.float64, copy=False)
     magnitude = np.abs(block)
     inside = ((magnitude >= _LOW) & (magnitude < _HIGH)).all(axis=1)
     edges = [0, *(np.flatnonzero(inside[1:] != inside[:-1]) + 1), len(block)]
-    for start, stop in zip(edges[:-1], edges[1:]):
-        run = block[start:stop]
-        f.write(_exact_text(run) if inside[start] else _percent_text(run))
+    return "".join(_exact_text(block[start:stop]) if inside[start]
+                   else _percent_text(block[start:stop])
+                   for start, stop in zip(edges[:-1], edges[1:]))
 
 
 def _percent_text(rows):
@@ -203,7 +265,8 @@ def _exact_text(rows):
     10**(16 - x) rounded half-even to an integer (``_digits``), as
     CPython's dtoa rounds them. Each value is then ten uint32 words of
     text: sign, two integer groups, dot, five fraction groups and
-    separator, padded with spaces that one ``bytes.translate`` deletes.
+    separator, padded with spaces that one boolean mask deletes (numpy
+    releases the GIL for it, where ``bytes.translate`` holds it).
     """
     values = rows.ravel()
     a = np.abs(values)
@@ -248,7 +311,8 @@ def _exact_text(rows):
         later |= groups[j] > 0
     words.reshape(len(rows), -1, 10)[:, :, 9] = _COMMA
     words.reshape(len(rows), -1, 10)[:, -1, 9] = _NEWLINE
-    return words.tobytes().translate(None, b" ").decode("ascii")
+    text = words.view(np.uint8).ravel()
+    return text[text != ord(" ")].tobytes().decode("ascii")
 
 
 def read_table(file_or_path, label, pick):
@@ -260,25 +324,32 @@ def read_table(file_or_path, label, pick):
     ``ParameterError`` naming the table by ``label``.
 
     The rows after the header, from a path or from the rest of an open
-    text file, are parsed as UTF-8 bytes in chunks of about ``_CHUNK``
-    bytes of whole lines by a numpy kernel (``_parse_lines``) into a
-    matrix sized from a newline count. It reads fields written as
-    ``[-]digits.digits`` with at most 17 significant digits and certifies
-    each double: D / 10**f, with D the digits as an integer, is one
-    correctly rounded division when D <= 2**53 (Clinger's fast path), and
-    above 2**53 the exact residual y * 10**f - D (``_times_p10``) moves y
-    by the whole ulps that make it correctly rounded. A row holding a
-    field the kernel refuses (exponents, no dot, nan, inf, spaces, CR,
-    over 17 digits, a residual too close to a tie) is parsed by ``np.loadtxt``
-    from those lines alone; a chunk with blank or ``#`` lines or another
-    field count by ``np.loadtxt`` whole. Any ``ValueError`` on the way
-    reruns ``np.loadtxt`` over the whole table, so errors and results are
-    those of ``np.loadtxt``.
+    text file, are parsed as UTF-8 bytes into a matrix sized from a
+    newline count. Each read of ``_CHUNK`` bytes, cut at its last newline,
+    is one piece of whole lines; a numpy kernel (``_parse_lines``) parses
+    the pieces on the pool of ``ordered_map``, each into the matrix rows
+    from its first line's number. A path and a seekable text file are read
+    twice, once for the count and once for the pieces, and hold only the
+    pieces in flight; the text of a stream that cannot seek is kept.
+
+    The kernel reads fields written as ``[-]digits.digits`` with at most
+    17 significant digits and certifies each double: D / 10**f, with D the
+    digits as an integer, is one correctly rounded division when
+    D <= 2**53 (Clinger's fast path), and above 2**53 the exact residual
+    y * 10**f - D (``_times_p10``) moves y by the whole ulps that make it
+    correctly rounded. A row holding a field the kernel refuses
+    (exponents, no dot, nan, inf, spaces, CR, over 17 digits, a residual
+    too close to a tie) is parsed by ``np.loadtxt`` from those lines
+    alone; a piece with blank or ``#`` lines or another field count by
+    ``np.loadtxt`` whole. Any ``ValueError`` on the way reruns
+    ``np.loadtxt`` over the whole table, so errors and results are those
+    of ``np.loadtxt``.
     """
     with _opened(file_or_path, "r") as f:
         skip = offset = 0
         try:
-            for line in f:
+            # readline, not iteration, which would disable ``f.tell()``.
+            for line in iter(f.readline, ""):
                 skip += 1
                 offset += len(line.encode("utf-8"))
                 line = line.strip()
@@ -297,26 +368,38 @@ def read_table(file_or_path, label, pick):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
-                if f is file_or_path:
-                    # Read in pieces: one read would hold the text twice.
-                    pieces = list(iter(lambda: f.read(_CHUNK), ""))
-                    n_lines, skip = sum(piece.count("\n") for piece in pieces), 0
-                    # Lone surrogates pass as bytes that the kernel refuses.
-                    chunks = (piece.encode("utf-8", "surrogatepass") for piece in pieces)
-                else:
+                if f is not file_or_path:
                     body = f.buffer  # the rows are the bytes from offset on
                     body.seek(offset)
                     n_lines = sum(int(np.count_nonzero(np.frombuffer(b, np.uint8) == _LF))
                                   for b in iter(lambda: body.read(1 << 20), b""))
                     body.seek(offset)
                     chunks = iter(lambda: body.read(_CHUNK), b"")
+
+                    def rewind():
+                        return file_or_path, skip
+                elif (start := _position(f)) is not None:
+                    n_lines = sum(text.count("\n") for text in iter(lambda: f.read(_CHUNK), ""))
+                    f.seek(start)
+                    # Lone surrogates pass as bytes that the kernel refuses.
+                    chunks = (text.encode("utf-8", "surrogatepass")
+                              for text in iter(lambda: f.read(_CHUNK), ""))
+
+                    def rewind():
+                        f.seek(start)
+                        return f, 0
+                else:
+                    texts = list(iter(lambda: f.read(_CHUNK), ""))
+                    n_lines = sum(text.count("\n") for text in texts)
+                    chunks = (text.encode("utf-8", "surrogatepass") for text in texts)
+
+                    def rewind():
+                        return io.StringIO("".join(texts)), 0
                 try:
                     data = _read_matrix(chunks, n_lines, len(names), usecols)
                 except ValueError:
-                    whole = file_or_path
-                    if f is file_or_path:
-                        whole = io.StringIO("".join(pieces))
-                    data = np.loadtxt(whole, delimiter=",", skiprows=skip,
+                    source, rows_before = rewind()
+                    data = np.loadtxt(source, delimiter=",", skiprows=rows_before,
                                       usecols=usecols, ndmin=2, encoding="utf-8")
         except ValueError as exc:
             raise ParameterError([f"{label} has a malformed row: {exc}"]) from None
@@ -328,36 +411,67 @@ def read_table(file_or_path, label, pick):
     return {name: data[:, i] for i, name in enumerate(wanted)}
 
 
+def _position(f):
+    """The position of the caller's text file, or None where it cannot
+    seek back: a pipe, or a file that was iterated with ``next``."""
+    try:
+        return f.tell() if f.seekable() else None
+    except OSError:
+        return None
+
+
+def _pieces(chunks):
+    """(first line number, byte strings) of each run of whole lines in the
+    byte strings ``chunks``: each chunk up to its last newline, after what
+    the chunks before it left. A last line without a newline gets one."""
+    first, carry = 0, []
+    for chunk in chunks:
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            carry.append(chunk)
+            continue
+        yield first, [*carry, memoryview(chunk)[:cut]]
+        first += int(np.count_nonzero(np.frombuffer(chunk, np.uint8, cut) == _LF))
+        carry = [memoryview(chunk)[cut:]]
+    if any(carry):
+        yield first, [*carry, b"\n"]
+
+
+def _parse_piece(k, usecols, out, piece):
+    """Parse a piece of whole lines (see ``_pieces``) into ``out`` from its
+    first line's row on, through a word buffer padded for the kernel's
+    loads; returns the first line and the number of rows parsed."""
+    first, parts = piece
+    size = sum(len(part) for part in parts)
+    words = np.zeros((_PAD + size) // 8 + 3, np.uint64)  # the last aligned load
+    buf = words.view(np.uint8)
+    end = _PAD
+    for part in parts:
+        buf[end:end + len(part)] = np.frombuffer(part, np.uint8)
+        end += len(part)
+    return first, _parse_lines(words, end, k, usecols, out[first:])
+
+
 def _read_matrix(chunks, n_lines, k, usecols):
     """The float matrix of the lines of k fields in the byte strings
     ``chunks``, ``n_lines`` of which end in a newline; ``usecols`` picks
-    columns as in ``np.loadtxt``. The chunks pass in whole lines through
-    one padded word buffer, which grows when a line outgrows it.
+    columns as in ``np.loadtxt``. Pieces of whole lines are parsed on the
+    pool, each into the rows from its first line on; the rows are packed
+    down only after a piece that held blank or ``#`` lines.
     """
     out = np.empty((n_lines + 1, k if usecols is None else len(usecols)))
-    words = np.zeros((_PAD + 2 * _CHUNK) // 8 + 2, np.uint64)
-    rows, end = 0, _PAD
-    for chunk in itertools.chain(chunks, [b""]):
-        size = end + len(chunk) + 16  # the last aligned load and a final newline
-        if size > words.nbytes:
-            words = np.concatenate((words, np.zeros(size // 8, np.uint64)))
-        buf = words.view(np.uint8)
-        buf[end:end + len(chunk)] = np.frombuffer(chunk, np.uint8)
-        end += len(chunk)
-        if not chunk and end > _PAD and buf[end - 1] != _LF:  # no newline at the end
-            buf[end] = _LF
-            end += 1
-        parsed, stop = _parse_lines(words, end, k, usecols, out[rows:])
-        rows += parsed
-        buf[_PAD:_PAD + end - stop] = buf[stop:end]
-        end += _PAD - stop
+    rows = 0
+    for first, count in ordered_map(partial(_parse_piece, k, usecols, out),
+                                    _pieces(chunks)):
+        if first != rows:
+            out[rows:rows + count] = out[first:first + count]
+        rows += count
     return out[:rows]
 
 
 def _parse_lines(words, end, k, usecols, out):
     """Parse the whole lines in bytes ``_PAD:end`` of ``words`` into the
-    first rows of ``out``; returns the number of rows and the offset after
-    the last newline.
+    first rows of ``out``; returns the number of rows.
 
     One scan finds the bytes below '0' other than '-': in a line of k
     fields ``[-]digits.digits`` they alternate dot and separator, 2k of
@@ -369,11 +483,8 @@ def _parse_lines(words, end, k, usecols, out):
     special = np.flatnonzero((text < _ZERO_CHAR) & (text != _MINUS_CHAR)) + _PAD
     kind = buf[special]
     newline = np.flatnonzero(kind == _LF)
-    if not newline.size:
-        return 0, _PAD
     line_end = special[newline]
     line_start = np.concatenate(([_PAD], line_end[:-1] + 1))
-    stop = line_end[-1] + 1
     per_line = np.diff(newline, prepend=-1)
     special, kind = special[:newline[-1] + 1], kind[:newline[-1] + 1]
     good = per_line == 2 * k
@@ -398,22 +509,22 @@ def _parse_lines(words, end, k, usecols, out):
     good[rows[np.flatnonzero(~certified) // k]] = False
     if good.all():
         out[:rows.size] = values
-        return rows.size, stop
+        return rows.size
     others = np.flatnonzero(~good)
-    lines = buf[_PAD:stop][np.repeat(~good, line_end - line_start + 1)].tobytes()
+    lines = buf[_PAD:end][np.repeat(~good, line_end - line_start + 1)].tobytes()
     parsed = np.loadtxt(io.StringIO(lines.decode("utf-8")), delimiter=",",
                         usecols=usecols, ndmin=2)
     if parsed.shape == (others.size, values.shape[1]):
         out[rows] = values
         out[others] = parsed
-        return good.size, stop
-    # Blank or comment lines, or rows of another width: the chunk as a whole.
-    parsed = np.loadtxt(io.StringIO(buf[_PAD:stop].tobytes().decode("utf-8")),
+        return good.size
+    # Blank or comment lines, or rows of another width: the piece as a whole.
+    parsed = np.loadtxt(io.StringIO(buf[_PAD:end].tobytes().decode("utf-8")),
                         delimiter=",", usecols=usecols, ndmin=2)
     if parsed.shape[0] and parsed.shape[1] != values.shape[1]:
         raise ValueError(f"rows of {parsed.shape[1]} fields")
     out[:parsed.shape[0]] = parsed
-    return parsed.shape[0], stop
+    return parsed.shape[0]
 
 
 def _decimal_fields(words, starts, dots, seps):

@@ -11,9 +11,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import passiveqkd as pq
+from passiveqkd import sampling, tables
 from passiveqkd.cli import build_parser, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -175,20 +177,65 @@ def test_one_parser_serves_every_call(tmp_path, scenario_file, capsys):
         assert help_text(main, command) == help_text(fresh.parse_args, command)
 
 
-@pytest.mark.parametrize("tap, sha256", [
-    (False, "fa19c89b947eb3ab7dda24607d70cf9cfea6c4b314aeec90f7299f2e5e249778"),
-    (True, "cd43233753b650875dab578e725ff0f2512fbaf7c1fe27989faea892619787c4"),
-])
+# The SHA-256 of the seed-7, 2000-trial sample CSVs of the photon-number
+# scenario, keyed by ``eavesdropper_tap``.
+GOLDEN_SAMPLES = {
+    False: "fa19c89b947eb3ab7dda24607d70cf9cfea6c4b314aeec90f7299f2e5e249778",
+    True: "cd43233753b650875dab578e725ff0f2512fbaf7c1fe27989faea892619787c4",
+}
+
+
+def golden_sample_csv(tmp_path, scenario_file, tap):
+    """Simulate the pinned sample CSV; returns its path."""
+    doc = json.loads((SCENARIOS / "correlation_vs_photon_number.json").read_text())
+    doc["system"]["eavesdropper_tap"] = tap
+    out = tmp_path / f"samples-{tap}.csv"
+    assert main(["simulate", "--scenario", scenario_file(doc), "--out", str(out),
+                 "--samples", "2000", "--seed", "7"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("tap, sha256", list(GOLDEN_SAMPLES.items()))
 def test_sample_csv_golden_bytes(tmp_path, scenario_file, tap, sha256):
     """The sample stream and its text are pinned for ``passiveqkd/samples v1``:
     a change to either must fail here and bump the schema tag. The moments
     file is not pinned, because its correlation goes through BLAS."""
-    doc = json.loads((SCENARIOS / "correlation_vs_photon_number.json").read_text())
-    doc["system"]["eavesdropper_tap"] = tap
-    out = tmp_path / "samples.csv"
-    assert main(["simulate", "--scenario", scenario_file(doc), "--out", str(out),
-                 "--samples", "2000", "--seed", "7"]) == 0
+    out = golden_sample_csv(tmp_path, scenario_file, tap)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_worker_count_keeps_every_byte(tmp_path, scenario_file, monkeypatch, workers):
+    """With the pool at 1 or 3 threads, and writer blocks, reader pieces and
+    draw blocks small enough to give every stage many jobs, the sample CSVs
+    keep their golden SHA-256 and read back the same bits, and a sweep-n0
+    CSV is the one the default pool writes. (The sweep is not pinned by a
+    hash: its blocked correlation goes through ``np.einsum``.)"""
+    def outputs(where):
+        where.mkdir()
+        result = {}
+        for tap in GOLDEN_SAMPLES:
+            out = golden_sample_csv(where, scenario_file, tap)
+            batch = pq.read_sample_csv(out)
+            result[tap] = (hashlib.sha256(out.read_bytes()).hexdigest(),
+                           np.column_stack(batch.columns()).view(np.int64))
+        doc = base_document()
+        doc["sweep"] = {"variable": "n0", "values": [50, 200, 400]}
+        assert main(["sweep-n0", "--scenario", scenario_file(doc),
+                     "--out", str(where / "sweep.csv")]) == 0
+        result["sweep"] = (where / "sweep.csv").read_bytes()
+        return result
+
+    default = outputs(tmp_path / "default")
+    monkeypatch.setattr(tables, "_WORKERS", workers)
+    monkeypatch.setattr(tables, "_ROW_BLOCK", 96)
+    monkeypatch.setattr(tables, "_CHUNK", 4096)
+    monkeypatch.setattr(sampling, "_DRAW_BLOCK", 300)
+    patched = outputs(tmp_path / "patched")
+    for tap, sha256 in GOLDEN_SAMPLES.items():
+        assert patched[tap][0] == default[tap][0] == sha256
+        assert np.array_equal(patched[tap][1], default[tap][1])
+    assert patched["sweep"] == default["sweep"]
 
 
 def test_derived_path_splits_the_file_name_only(tmp_path, scenario_file,

@@ -2,11 +2,13 @@
 format."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
 import passiveqkd as pq
+from passiveqkd import sampling, tables
 
 
 def _sample_se(z):
@@ -162,6 +164,50 @@ def test_batch_size_precheck(small_config):
     run = pq.RunSpec(n_samples=10_000, seed=1, n_blocks=10)
     with pytest.raises(pq.BatchSizeError):
         pq.simulate_batch(small_config, run, memory_limit_bytes=1000)
+
+
+@pytest.mark.parametrize("n", [100, 3 * sampling._DRAW_BLOCK + 5])
+def test_batch_size_limit_counts_the_running_jobs(small_config, n):
+    """The limit covers the six columns and one draw block from each of the
+    13 streams of every worker's running job: it refuses a byte below that
+    and samples at it."""
+    needed = 6 * n * 8 + tables._WORKERS * 13 * min(sampling._DRAW_BLOCK, n) * 8
+    run = pq.RunSpec(n_samples=n, seed=1)
+    with pytest.raises(pq.BatchSizeError, match=f" needs about {needed} bytes, "):
+        pq.simulate_batch(small_config, run, memory_limit_bytes=needed - 1)
+    assert pq.simulate_batch(small_config, run, memory_limit_bytes=needed).n_samples == n
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_split_draws_match_whole_chunk_draws(small_config, monkeypatch, workers):
+    """Two whole chunks and 8193 rows, drawn in blocks by 1 or 3 workers,
+    are the batch of one whole-chunk draw per stream: x1 and p1 rebuilt
+    here from those draws, and every tapped column as sampled with the
+    draw block set to a whole chunk on one worker."""
+    config = small_config.replace(eavesdropper_tap=True)
+    run = pq.RunSpec(n_samples=2 * pq.CHUNK_SIZE + 8193, seed=23)
+    block = sampling._DRAW_BLOCK
+    monkeypatch.setattr(tables, "_WORKERS", 1)
+    monkeypatch.setattr(sampling, "_DRAW_BLOCK", pq.CHUNK_SIZE)
+    whole = pq.simulate_batch(config, run)
+    monkeypatch.setattr(tables, "_WORKERS", workers)
+    monkeypatch.setattr(sampling, "_DRAW_BLOCK", block)
+    split = pq.simulate_batch(config, run)
+    for name in whole.column_names():
+        assert np.array_equal(getattr(split, name), getattr(whole, name)), name
+
+    e0 = config.alice_attenuation
+    thermal = math.sqrt(2.0 * config.source.mean_photon_number + 1.0)
+    counts = [pq.CHUNK_SIZE, pq.CHUNK_SIZE, 8193]
+    for base, name in ((0, "x1"), (sampling._TERMS_PER_QUAD, "p1")):
+        def draw(chunk, term):
+            stream = sampling._substream(run.seed, chunk, base + term)
+            return stream.standard_normal(counts[chunk])
+        rebuilt = np.concatenate([
+            math.sqrt(e0 / 2.0) * (thermal * draw(c, sampling._T_THERMAL)
+                                   - draw(c, sampling._T_VAC_SPLIT))
+            - math.sqrt(1.0 - e0) * draw(c, sampling._T_VAC_ATTEN) for c in range(3)])
+        assert np.array_equal(getattr(split, name), rebuilt), name
 
 
 def test_simulate_batch_input_types(small_config):

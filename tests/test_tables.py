@@ -2,6 +2,8 @@
 
 import io
 import re
+import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -398,6 +400,115 @@ def test_reader_errors_are_those_of_loadtxt(monkeypatch, chunk, row, where):
     with pytest.raises(pq.ParameterError) as err:
         pq.read_sample_csv(io.StringIO(text))
     assert err.value.violations == [expected]
+
+
+class Unseekable(io.StringIO):
+    """A text stream that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
+
+
+@pytest.mark.parametrize("chunk", [64, 1 << 19])
+def test_open_files_read_like_paths(tmp_path, monkeypatch, chunk):
+    """An open file read in two passes from after its header (found by
+    ``readline``, which leaves ``tell`` working), and a stream that cannot
+    seek or a file iterated with ``next``, whose text is kept, read the rows
+    of the path bit for bit; with a malformed row each raises the error of
+    ``np.loadtxt``."""
+    monkeypatch.setattr(tables, "_CHUNK", chunk)
+    text = "# a note\n\n" + sample_text(6, 200, 4)
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    want = np.column_stack(pq.read_sample_csv(path).columns())
+    with open(path, encoding="utf-8") as f:
+        assert np.array_equal(bits(np.column_stack(pq.read_sample_csv(f).columns())),
+                              bits(want))
+    with open(path, encoding="utf-8") as f:
+        next(f)  # which disables ``f.tell()``: read as a stream
+        assert np.array_equal(bits(np.column_stack(pq.read_sample_csv(f).columns())),
+                              bits(want))
+    back = pq.read_sample_csv(Unseekable(text))
+    assert np.array_equal(bits(np.column_stack(back.columns())), bits(want))
+
+    lines = text.split("\n")
+    lines.insert(100, "1.5,2.5,3.5")
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        np.loadtxt(io.StringIO("\n".join(lines)), delimiter=",", skiprows=4)
+    except ValueError as exc:
+        expected = [f"sample CSV has a malformed row: {exc}"]
+    with open(path, encoding="utf-8") as f:
+        for source in (f, Unseekable("\n".join(lines))):
+            with pytest.raises(pq.ParameterError) as err:
+                pq.read_sample_csv(source)
+            assert err.value.violations == expected
+
+
+def test_no_thread_outlives_a_call(tmp_path, monkeypatch, bench_config):
+    """Each stage joins its pool's threads before it returns, also when a
+    malformed row in a middle piece, or a write that fails, ends it early;
+    the malformed row still raises the error of ``np.loadtxt``."""
+    before = threading.active_count()
+    batch = pq.simulate_batch(bench_config, pq.RunSpec(n_samples=3 * 8192 + 7, seed=4))
+    assert threading.active_count() == before
+    path = tmp_path / "s.csv"
+    tables.write_table(path, "samples", batch.column_names(), tuple(batch.columns()))
+    assert threading.active_count() == before
+    back = tables.read_table(path, "sample CSV", lambda names: names)
+    assert threading.active_count() == before
+    assert np.array_equal(bits(back["p3"]), bits(batch.p3))
+
+    monkeypatch.setattr(tables, "_CHUNK", 64)
+    lines = sample_text(6, 300, 3).split("\n")
+    lines.insert(150, "1.5,2.5,3.5,four,5.5,6.5")
+    text = "\n".join(lines)
+    try:
+        np.loadtxt(io.StringIO(text), delimiter=",", skiprows=2)
+    except ValueError as exc:
+        expected = [f"sample CSV has a malformed row: {exc}"]
+    path.write_text(text, encoding="utf-8")
+    for source in (path, io.StringIO(text)):
+        with pytest.raises(pq.ParameterError) as err:
+            tables.read_table(source, "sample CSV", lambda names: names)
+        assert err.value.violations == expected
+        assert threading.active_count() == before
+
+    class Full(io.StringIO):
+        def write(self, text):
+            if self.tell() > 100_000:
+                raise OSError("no space left")
+            return super().write(text)
+
+    with pytest.raises(OSError, match="no space left"):
+        pq.write_sample_csv(Full(), batch)
+    assert threading.active_count() == before
+
+
+def test_pool_stress_keeps_rows_in_order(tmp_path, monkeypatch):
+    """Eight threads on two cores, a short switch interval and small jobs:
+    the writer's blocks still give ``np.savetxt``'s bytes, and the reader's
+    pieces, some holding blank and ``#`` lines that move the later rows
+    down, still give ``np.loadtxt``'s bits."""
+    matrix = np.random.default_rng(8).normal(0.0, 20.0, (1500, 6))
+    monkeypatch.setattr(tables, "_WORKERS", 8)
+    monkeypatch.setattr(tables, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(tables, "_CHUNK", 256)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        buf = io.StringIO()
+        tables.write_table(buf, "samples", ["x1", "x2", "x3", "p1", "p2", "p3"], matrix)
+        assert buf.getvalue().split("\n", 2)[2] == savetxt_reference(matrix)
+        lines = buf.getvalue().split("\n")
+        for at in range(1400, 2, -37):
+            lines.insert(at, "" if at % 2 else "# a note")
+        text = "\n".join(lines)
+        want = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=2)
+        assert want.shape == (1500, 6)
+        assert np.array_equal(bits(read_both(tmp_path, text)), bits(want))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_reader_kernel_raises_no_warning(tmp_path):
