@@ -6,6 +6,8 @@ implementations in ``oracles``.
 """
 
 import contextlib
+import hashlib
+import json
 import math
 import random
 import subprocess
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import passiveqkd as pq
+from passiveqkd.cli import main
 
 import oracles
 
@@ -817,3 +820,86 @@ def test_argument_violation_texts(link_config, call, violations):
     with pytest.raises(pq.ParameterError) as err:
         call(link_config)
     assert err.value.violations == violations
+
+
+# Golden digests of the key-rate core's output bits, recorded before the
+# core's fixed-cost rewrite: a change of any bit of any result fails here.
+# Pinned with numpy 2.4 on x86-64; a numpy whose log, log1p or sqrt rounds
+# differently moves them.
+GOLDEN_CHAIN = "ca1055708c186c62d3fe815acc07d92e40eff9db849c6ee32dcd881d301c69d8"
+GOLDEN_KEYRATE_CSV = {
+    False: "14a793ba2a052feffa18ed4336a82e5a8199f80662ef0783da51e8f005fcd1a2",
+    True: "10ea420307edf4da5975bb9081a9d8b2a04b2fa0f1f4251a48457b7c75745fbd",
+}
+GOLDEN_CUTOFFS = "f7e033416be7bfe9ffd6ca8e9d89c0797e6d68065a3d9f0d50abd7c179b16284"
+
+
+def _chain_cases(link_config):
+    """(config, efficiency, e0, t) at the shapes the core's callers use: a
+    0-d point, a fixed-split cutoff pass (3,), a Newton stencil 3x3, a zoom
+    round 25x17 and a coarse grid 25x241, six of each, each from its own seed."""
+    shapes = [((), ()), ((), (3,)), ((3,), (3, 1)), ((25, 17), (25, 1)),
+              ((241,), (25, 1))]
+    cases = []
+    for seed, (e0_shape, t_shape) in enumerate(shapes * 6):
+        rng = random.Random(seed)
+        config = link_config.replace(source=pq.SourceParams(
+            10 ** rng.uniform(2.0, 3.7), rng.uniform(0.95, 0.97)))
+
+        def draw(shape, value):
+            return np.array([value() for _ in range(math.prod(shape))]).reshape(shape)[()]
+
+        e0 = draw(e0_shape, lambda: 10 ** rng.uniform(-8.0, 0.0))
+        t = draw(t_shape, lambda: 10 ** (-0.02 * rng.uniform(0.0, 150.0)))
+        cases.append((config, rng.uniform(0.9, 1.0), e0, t))
+    return cases
+
+
+def _digest(arrays):
+    """SHA-256 of the float64 bytes of ``arrays``, shapes included."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_chain_golden_bits(link_config):
+    """eps, I_AB, chi_BE, the four eigenvalues, (A, B, C, D) and R of
+    seeded _chain passes from 0-d to 25x241 keep every bit."""
+    arrays = []
+    for config, efficiency, e0, t in _chain_cases(link_config):
+        c = pq.keyrate._chain(config, efficiency, e0, t)
+        shape = np.shape(c.rate)
+        arrays += [np.broadcast_to(x, shape) for x in (c.eps, c.mutual, c.chi, *c.abcd)]
+        arrays += [c.lambdas, c.rate]
+    assert _digest(arrays) == GOLDEN_CHAIN
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_keyrate_csv_golden_bytes(tmp_path, optimize):
+    """The keyrate curve and points CSVs of the shipped distance scenario,
+    optimised and at the deployed split, keep every byte. The measured
+    points carry their correlations, so nothing is sampled."""
+    doc = json.loads((SCENARIOS / "keyrate_vs_distance.json").read_text())
+    for point, corr in zip(doc["measured_points"], (0.315, 0.1)):
+        point.update(corr_mean=corr, corr_std=0.004)
+    doc["keyrate"]["optimize_alice_attenuation"] = optimize
+    doc["system"]["alice_attenuation"] = 0.0009
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "rate.csv"
+    assert main(["keyrate", "--scenario", str(path), "--out", str(out)]) == 0
+    data = out.read_bytes() + (tmp_path / "rate.points.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_KEYRATE_CSV[optimize]
+
+
+def test_distance_cutoff_golden_reprs(link_config):
+    """The reprs of the paper config's cutoffs, optimised and at the
+    deployed split, and of three seeded low-n0 points keep every digit."""
+    cutoffs = [pq.distance_cutoff(link_config),
+               pq.distance_cutoff(link_config, optimize=False, hi_km=150.0)]
+    cutoffs += [pq.distance_cutoff(config) for config in _sources(link_config, 23, 2.3)[:3]]
+    text = " ".join(repr(x) for x in cutoffs)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CUTOFFS, text
