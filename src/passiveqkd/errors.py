@@ -39,7 +39,8 @@ __all__ = [
 def is_real(value):
     """True for a finite real number (int, float or numpy scalar), not a bool."""
     try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return ((type(value) is float  # the common case, ahead of the abstract check
+                 or isinstance(value, numbers.Real) and not isinstance(value, bool))
                 and math.isfinite(value))
     except OverflowError:  # an int beyond the float range
         return False

@@ -110,6 +110,7 @@ _COARSE_POINTS = 241
 # is flat to its rounding noise.
 _PROBES = 17
 _ZOOM_ROUNDS = 7
+_STEPS = np.linspace(-1.0, 1.0, _PROBES)  # zoom probe offsets, in half-widths
 
 
 @dataclass(frozen=True)
@@ -305,8 +306,9 @@ def _entropy(x):
     # -y*log(y) to rounding, and 1/y would overflow for a subnormal y.
     y = np.maximum(x, 0.0)
     tail = y * np.log1p(1.0 / np.maximum(y, 2.0 ** -1000))
-    tiny = (y > 0.0) & (y < 2.0 ** -1000)
-    if tiny.any():
+    small = y < 2.0 ** -1000  # y = 0 too, which keeps its tail
+    if small.any():
+        tiny = small & (y > 0.0)
         tail = np.where(tiny, -y * np.log(np.where(tiny, y, 1.0)), tail)
     return (np.log1p(y) + tail) / _LN2
 
@@ -314,33 +316,43 @@ def _entropy(x):
 def _holevo(v, t, eps, chi_det):
     """Holevo bound over arrays: (chi, [l1, l2, l3, l4], (A, B, C, D)), the
     four eigenvalues stacked along a new first axis."""
-    v_mod = v - 1.0
-    n_out = 1.0 - t + t * eps
+    # Shared subexpressions are computed once, and each squared eigenvalue
+    # is written into its row of one (4, ...) array: ``squares[k, ...]`` is
+    # a view even of a 0-d row, where ``squares[k]`` would be a copy.
+    one_t, two_t, t_eps, t_v = 1.0 - t, 2.0 * t, t * eps, t * v
+    n_out = one_t + t_eps
+    tv_out = t_v + n_out
+    lossy_mod = one_t * (v - 1.0)
 
-    a_coef = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * v + n_out) ** 2
+    a_coef = v * v * (1.0 - two_t) + two_t + tv_out ** 2
     sqrt_b = v * n_out + t
     b_coef = sqrt_b * sqrt_b
+    squares = np.empty((4,) + a_coef.shape)
     # A - 2*sqrt(B) = W^2 exactly, so the discriminant (A - 2rB)(A + 2rB)
     # never cancels and never goes negative.
-    w = (1.0 - t) * v_mod - t * eps
-    l1_sq = (a_coef + np.abs(w) * np.sqrt(a_coef + 2.0 * sqrt_b)) / 2.0
-    l2_sq = b_coef / l1_sq
+    w = lossy_mod - t_eps
+    np.divide(a_coef + np.abs(w) * np.sqrt(a_coef + 2.0 * sqrt_b), 2.0,
+              out=squares[0, ...])
+    np.divide(b_coef, squares[0, ...], out=squares[1, ...])
 
-    den_root = t * v + n_out + chi_det
+    den_root = tv_out + chi_det
     sqrt_d = (v + sqrt_b * chi_det) / den_root
     d_coef = sqrt_d * sqrt_d
+    two_sqrt_d = 2.0 * sqrt_d
     # Likewise (C - 2*sqrt(D)) * den = (chi_det*W + M)^2 exactly.
-    m = (1.0 - t) * v_mod + v * t * eps
+    m = lossy_mod + t_v * eps
     cd_root = (chi_det * w + m) / den_root
-    c_coef = cd_root * cd_root + 2.0 * sqrt_d
-    l3_sq = (c_coef + np.abs(cd_root) * np.sqrt(c_coef + 2.0 * sqrt_d)) / 2.0
-    l4_sq = d_coef / l3_sq
+    c_coef = cd_root * cd_root + two_sqrt_d
+    np.divide(c_coef + np.abs(cd_root) * np.sqrt(c_coef + two_sqrt_d), 2.0,
+              out=squares[2, ...])
+    np.divide(d_coef, squares[2, ...], out=squares[3, ...])
 
-    squares = np.stack(np.broadcast_arrays(l1_sq, l2_sq, l3_sq, l4_sq))
     # The eigenvalue rule, lambda >= 1 - 2*_ENTROPY_TOL, puts every entropy
-    # argument in its domain; checked before sqrt, and NaN fails it.
-    bad = ~(squares >= (1.0 - 2.0 * _ENTROPY_TOL) ** 2).all(axis=0)
-    if bad.any():
+    # argument in its domain; checked before sqrt, and NaN fails it. The mask
+    # that names the first offender is built only when the rule fails.
+    floor = (1.0 - 2.0 * _ENTROPY_TOL) ** 2
+    if not (squares >= floor).all():
+        bad = ~(squares >= floor).all(axis=0)
         v_, t_, eps_, det_ = _first(bad, v, t, eps, chi_det)
         raise NumericalDomainError(
             f"symplectic eigenvalue below 1 from v={v_!r}, T={t_!r}, "
@@ -357,10 +369,10 @@ def _holevo_result(chi, lambdas, abcd):
 
 
 def _secure_rate(efficiency, mutual, chi):
-    """f*I_AB - chi_BE, both finite and >= 0; one mask, read only on failure."""
+    """f*I_AB - chi_BE, both finite and >= 0; the mask is built on failure."""
     rate = efficiency * mutual - chi
-    bad = ~(np.isfinite(rate) & (mutual >= 0.0) & (chi >= 0.0))
-    if bad.any():
+    if not (np.isfinite(rate).all() and np.minimum(mutual, chi).min() >= 0.0):
+        bad = ~(np.isfinite(rate) & (mutual >= 0.0) & (chi >= 0.0))
         i_ab, chi_be = _first(bad, mutual, chi)
         name, x = ("mutual_info", i_ab) if not 0 <= i_ab < math.inf else ("holevo_info", chi_be)
         raise NumericalDomainError(f"{name} must be finite and >= 0, got {x!r}")
@@ -487,12 +499,11 @@ def _best_attenuation(config, efficiency, t, bounds=ATTENUATION_BOUNDS):
                          axis=0)
     # The first zoom round spans the two coarse cells around each optimum.
     half = math.log(hi / lo) / (_COARSE_POINTS - 1)
-    steps = np.linspace(-1.0, 1.0, _PROBES)
     e_ref = grid[local]
     for _ in range(_ZOOM_ROUNDS):
-        probes = np.clip(np.exp(np.log(e_ref)[:, None] + half * steps), lo, hi)
+        probes = np.clip(np.exp(np.log(e_ref)[:, None] + half * _STEPS), lo, hi)
         rate = _chain(config, efficiency, probes, t).rate
-        at = rows, np.argmax(rate, axis=1)
+        at = rows, rate.argmax(axis=1)
         e_ref, r_ref = probes[at], rate[at]
         half /= (_PROBES - 1) / 2
     refined = r_ref > r_best + noise
@@ -597,7 +608,9 @@ def distance_cutoff(config, *, efficiency=_EFFICIENCY,
     def rated(lengths):
         """Rows (L, eta0, R) of the edges ``lengths``, from one ``_curve`` pass."""
         e0, c = _curve(config, f, _fibre_transmittance(lengths, gamma), optimize)
-        return np.stack(np.broadcast_arrays(lengths, e0, c.rate))
+        rows = np.empty((3, len(lengths)))
+        rows[0], rows[1], rows[2] = lengths, e0, c.rate
+        return rows
 
     edges = rated(np.array([lo_km, hi_km]))
     r = edges[2]
@@ -645,33 +658,39 @@ def _predict_cutoff(config, efficiency, gamma, cell, e0, tol, fixed):
     by the envelope theorem the interior branch is smooth across it. The
     stencil stays in the cell, so every T it rates is one the bracket
     allows, and an optimised eta0 stays in the search window. Steps stop
-    once one moves L by at most ``tol``.
+    once one moves L by at most ``tol``. The stencil arithmetic runs on
+    Python floats, where a flat or singular stencil (r_l = 0, or det = 0)
+    raises ``ZeroDivisionError``: that ends the steps, as a step that is
+    not finite does.
     """
     a, b = cell
     h_l = min(_STENCIL_KM, (b - a) / 4.0)
     h_u = 0.0 if fixed else _STENCIL_LN
     u_lo, u_hi = (math.log(x) for x in ATTENUATION_BOUNDS)
+    l_offsets, u_offsets = h_l * _STENCIL[:, None], h_u * _STENCIL
     x, u = a, math.log(e0)
-    with np.errstate(all="ignore"):  # a flat or singular stencil ends the steps
-        for _ in range(_NEWTON_STEPS):
-            at = min(max(x, a + h_l), b - h_l)
-            if not fixed:
-                u = min(max(u, u_lo + h_u), u_hi - h_u)
-            r = _chain(config, efficiency, np.exp(u + h_u * _STENCIL),
-                       _fibre_transmittance(at + h_l * _STENCIL, gamma)[:, None]).rate
-            r_l = (r[2, 1] - r[0, 1]) / (2.0 * h_l)
+    for _ in range(_NEWTON_STEPS):
+        at = min(max(x, a + h_l), b - h_l)
+        if not fixed:
+            u = min(max(u, u_lo + h_u), u_hi - h_u)
+        r = _chain(config, efficiency, np.exp(u + u_offsets),
+                   _fibre_transmittance(at + l_offsets, gamma)).rate.tolist()
+        try:
+            r_l = (r[2][1] - r[0][1]) / (2.0 * h_l)
             if fixed:
-                dx, du = -r[1, 1] / r_l, 0.0
+                dx, du = -r[1][1] / r_l, 0.0
             else:
-                r_u = (r[1, 2] - r[1, 0]) / (2.0 * h_u)
-                r_uu = (r[1, 2] - 2.0 * r[1, 1] + r[1, 0]) / (h_u * h_u)
-                r_lu = (r[2, 2] - r[2, 0] - r[0, 2] + r[0, 0]) / (4.0 * h_l * h_u)
+                r_u = (r[1][2] - r[1][0]) / (2.0 * h_u)
+                r_uu = (r[1][2] - 2.0 * r[1][1] + r[1][0]) / (h_u * h_u)
+                r_lu = (r[2][2] - r[2][0] - r[0][2] + r[0][0]) / (4.0 * h_l * h_u)
                 det = r_l * r_uu - r_u * r_lu
-                dx = (r_u * r_u - r[1, 1] * r_uu) / det
-                du = (r[1, 1] * r_lu - r_l * r_u) / det
-            if not np.isfinite(dx + du):
-                break
-            x, u = at + float(dx), u + float(du)
-            if abs(dx) <= tol:
-                break
+                dx = (r_u * r_u - r[1][1] * r_uu) / det
+                du = (r[1][1] * r_lu - r_l * r_u) / det
+        except ZeroDivisionError:
+            break
+        if not math.isfinite(dx + du):
+            break
+        x, u = at + dx, u + du
+        if abs(dx) <= tol:
+            break
     return min(max(x, a), b)

@@ -120,6 +120,8 @@ SCHEMAS = {
 
 def format_value(value):
     """One field's text: lowercase booleans, exact integers, 17-digit floats."""
+    if type(value) is float:  # the common field, ahead of the abstract checks
+        return FLOAT_FMT % value
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, str):
@@ -207,7 +209,7 @@ def write_table(file_or_path, kind, header, rows, summary=()):
                     f.write(text)
         else:
             for row in rows:
-                f.write(",".join(format_value(v) for v in row) + "\n")
+                f.write(",".join(map(format_value, row)) + "\n")
         if summary:
             f.write("# " + " ".join(f"{k}={format_value(v)}" for k, v in summary) + "\n")
 
@@ -329,8 +331,10 @@ def read_table(file_or_path, label, pick):
     is one piece of whole lines; a numpy kernel (``_parse_lines``) parses
     the pieces on the pool of ``ordered_map``, each into the matrix rows
     from its first line's number. A path and a seekable text file are read
-    twice, once for the count and once for the pieces, and hold only the
-    pieces in flight; the text of a stream that cannot seek is kept.
+    twice in the same ``_CHUNK`` reads, once for each read's newline count
+    and once for the pieces, and hold only the pieces in flight; the text
+    of a stream that cannot seek is kept. The counts give each piece's
+    first line, so no piece is counted twice.
 
     The kernel reads fields written as ``[-]digits.digits`` with at most
     17 significant digits and certifies each double: D / 10**f, with D the
@@ -371,15 +375,15 @@ def read_table(file_or_path, label, pick):
                 if f is not file_or_path:
                     body = f.buffer  # the rows are the bytes from offset on
                     body.seek(offset)
-                    n_lines = sum(int(np.count_nonzero(np.frombuffer(b, np.uint8) == _LF))
-                                  for b in iter(lambda: body.read(1 << 20), b""))
+                    counts = [int(np.count_nonzero(np.frombuffer(b, np.uint8) == _LF))
+                              for b in iter(lambda: body.read(_CHUNK), b"")]
                     body.seek(offset)
                     chunks = iter(lambda: body.read(_CHUNK), b"")
 
                     def rewind():
                         return file_or_path, skip
                 elif (start := _position(f)) is not None:
-                    n_lines = sum(text.count("\n") for text in iter(lambda: f.read(_CHUNK), ""))
+                    counts = [text.count("\n") for text in iter(lambda: f.read(_CHUNK), "")]
                     f.seek(start)
                     # Lone surrogates pass as bytes that the kernel refuses.
                     chunks = (text.encode("utf-8", "surrogatepass")
@@ -390,13 +394,13 @@ def read_table(file_or_path, label, pick):
                         return f, 0
                 else:
                     texts = list(iter(lambda: f.read(_CHUNK), ""))
-                    n_lines = sum(text.count("\n") for text in texts)
+                    counts = [text.count("\n") for text in texts]
                     chunks = (text.encode("utf-8", "surrogatepass") for text in texts)
 
                     def rewind():
                         return io.StringIO("".join(texts)), 0
                 try:
-                    data = _read_matrix(chunks, n_lines, len(names), usecols)
+                    data = _read_matrix(chunks, counts, len(names), usecols)
                 except ValueError:
                     source, rows_before = rewind()
                     data = np.loadtxt(source, delimiter=",", skiprows=rows_before,
@@ -420,18 +424,19 @@ def _position(f):
         return None
 
 
-def _pieces(chunks):
+def _pieces(chunks, counts):
     """(first line number, byte strings) of each run of whole lines in the
-    byte strings ``chunks``: each chunk up to its last newline, after what
-    the chunks before it left. A last line without a newline gets one."""
+    byte strings ``chunks``, whose newlines ``counts`` gives chunk by chunk:
+    each chunk up to its last newline, after what the chunks before it
+    left. A last line without a newline gets one."""
     first, carry = 0, []
-    for chunk in chunks:
+    for chunk, count in zip(chunks, counts, strict=True):  # ValueError if they differ
         cut = chunk.rfind(b"\n") + 1
         if not cut:
             carry.append(chunk)
             continue
         yield first, [*carry, memoryview(chunk)[:cut]]
-        first += int(np.count_nonzero(np.frombuffer(chunk, np.uint8, cut) == _LF))
+        first += count
         carry = [memoryview(chunk)[cut:]]
     if any(carry):
         yield first, [*carry, b"\n"]
@@ -452,17 +457,17 @@ def _parse_piece(k, usecols, out, piece):
     return first, _parse_lines(words, end, k, usecols, out[first:])
 
 
-def _read_matrix(chunks, n_lines, k, usecols):
+def _read_matrix(chunks, counts, k, usecols):
     """The float matrix of the lines of k fields in the byte strings
-    ``chunks``, ``n_lines`` of which end in a newline; ``usecols`` picks
+    ``chunks``, with ``counts`` newlines chunk by chunk; ``usecols`` picks
     columns as in ``np.loadtxt``. Pieces of whole lines are parsed on the
     pool, each into the rows from its first line on; the rows are packed
     down only after a piece that held blank or ``#`` lines.
     """
-    out = np.empty((n_lines + 1, k if usecols is None else len(usecols)))
+    out = np.empty((sum(counts) + 1, k if usecols is None else len(usecols)))
     rows = 0
     for first, count in ordered_map(partial(_parse_piece, k, usecols, out),
-                                    _pieces(chunks)):
+                                    _pieces(chunks, counts)):
         if first != rows:
             out[rows:rows + count] = out[first:first + count]
         rows += count

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -611,6 +612,28 @@ def test_cutoff_halves_the_cell_when_the_prediction_misses(link_config, monkeypa
                         lambda config, efficiency, gamma, cell, *args, **kwargs: cell[end])
     assert abs(pq.distance_cutoff(link_config) - want) <= 1e-3
     assert len(calls) <= 1 + math.ceil(math.log2(200.0 / 1e-3))
+
+
+@pytest.mark.parametrize("fixed", [True, False])
+@pytest.mark.parametrize("level", [0.0, 0.5])
+def test_flat_stencil_ends_the_newton_steps(link_config, monkeypatch, fixed, level):
+    """A stencil whose rate is flat (r_l = 0, and det = 0 when optimised)
+    ends the steps after its one pass: the predictor returns a point in
+    the cell and raises and warns nothing."""
+    passes = []
+
+    def flat(config, efficiency, e0, t):
+        passes.append(np.shape(t))
+        return SimpleNamespace(rate=np.full(np.broadcast_shapes(np.shape(e0), np.shape(t)),
+                                            level))
+
+    monkeypatch.setattr(pq.keyrate, "_chain", flat)
+    cell = (80.0, 90.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = pq.keyrate._predict_cutoff(link_config, 0.95, 0.2, cell, 1e-3, 1e-6, fixed)
+    assert cell[0] <= x <= cell[1]
+    assert len(passes) == 1
 
 
 def test_cutoff_from_a_nonzero_lo_km(link_config):
