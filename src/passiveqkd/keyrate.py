@@ -306,8 +306,7 @@ def _entropy(x):
     # -y*log(y) to rounding, and 1/y would overflow for a subnormal y.
     y = np.maximum(x, 0.0)
     tail = y * np.log1p(1.0 / np.maximum(y, 2.0 ** -1000))
-    small = y < 2.0 ** -1000  # y = 0 too, which keeps its tail
-    if small.any():
+    if (small := y < 2.0 ** -1000).any():  # y = 0 too, which keeps its tail
         tiny = small & (y > 0.0)
         tail = np.where(tiny, -y * np.log(np.where(tiny, y, 1.0)), tail)
     return (np.log1p(y) + tail) / _LN2
@@ -316,13 +315,30 @@ def _entropy(x):
 def _holevo(v, t, eps, chi_det):
     """Holevo bound over arrays: (chi, [l1, l2, l3, l4], (A, B, C, D)), the
     four eigenvalues stacked along a new first axis."""
-    # Shared subexpressions are computed once, and each squared eigenvalue
-    # is written into its row of one (4, ...) array: ``squares[k, ...]`` is
-    # a view even of a 0-d row, where ``squares[k]`` would be a copy.
+    squares, abcd = _squared_eigenvalues(v, t, eps, chi_det)
+    # The eigenvalue rule, lambda >= 1 - 2*_ENTROPY_TOL, puts every entropy
+    # argument in its domain; checked before sqrt (NaN fails), masked on failure.
+    floor = (1.0 - 2.0 * _ENTROPY_TOL) ** 2
+    if not (squares >= floor).all():
+        bad = ~(squares >= floor).all(axis=0)
+        v_, t_, eps_, det_ = _first(bad, v, t, eps, chi_det)
+        raise NumericalDomainError(
+            f"symplectic eigenvalue below 1 from v={v_!r}, T={t_!r}, "
+            f"eps={eps_!r}, chi_det={det_!r}")
+    lambdas = np.sqrt(squares)
+    g = _entropy((lambdas - 1.0) / 2.0)
+    # The fifth eigenvalue is 1 and contributes G(0) = 0.
+    return g[0] + g[1] - g[2] - g[3], lambdas, abcd
+
+
+def _squared_eigenvalues(v, t, eps, chi_det):
+    """(l1^2 to l4^2 stacked along a new first axis, (A, B, C, D)), from
+    shared subexpressions computed once; each square is written into its row
+    of one array (``squares[k, ...]`` is a view even of a 0-d row, where
+    ``squares[k]`` is a copy). The temporaries die before the entropies."""
     one_t, two_t, t_eps, t_v = 1.0 - t, 2.0 * t, t * eps, t * v
-    n_out = one_t + t_eps
+    n_out, lossy_mod = one_t + t_eps, one_t * (v - 1.0)
     tv_out = t_v + n_out
-    lossy_mod = one_t * (v - 1.0)
 
     a_coef = v * v * (1.0 - two_t) + two_t + tv_out ** 2
     sqrt_b = v * n_out + t
@@ -346,21 +362,7 @@ def _holevo(v, t, eps, chi_det):
     np.divide(c_coef + np.abs(cd_root) * np.sqrt(c_coef + two_sqrt_d), 2.0,
               out=squares[2, ...])
     np.divide(d_coef, squares[2, ...], out=squares[3, ...])
-
-    # The eigenvalue rule, lambda >= 1 - 2*_ENTROPY_TOL, puts every entropy
-    # argument in its domain; checked before sqrt, and NaN fails it. The mask
-    # that names the first offender is built only when the rule fails.
-    floor = (1.0 - 2.0 * _ENTROPY_TOL) ** 2
-    if not (squares >= floor).all():
-        bad = ~(squares >= floor).all(axis=0)
-        v_, t_, eps_, det_ = _first(bad, v, t, eps, chi_det)
-        raise NumericalDomainError(
-            f"symplectic eigenvalue below 1 from v={v_!r}, T={t_!r}, "
-            f"eps={eps_!r}, chi_det={det_!r}")
-    lambdas = np.sqrt(squares)
-    g = _entropy((lambdas - 1.0) / 2.0)
-    # The fifth eigenvalue is 1 and contributes G(0) = 0.
-    return g[0] + g[1] - g[2] - g[3], lambdas, (a_coef, b_coef, c_coef, d_coef)
+    return squares, (a_coef, b_coef, c_coef, d_coef)
 
 
 def _holevo_result(chi, lambdas, abcd):
