@@ -371,11 +371,11 @@ def _holevo_result(chi, lambdas, abcd):
 
 
 def _secure_rate(efficiency, mutual, chi):
-    """f*I_AB - chi_BE, both finite and >= 0; the mask is built on failure."""
+    """f*I_AB - chi_BE, both finite and >= 0; one mask, read only on failure."""
     rate = efficiency * mutual - chi
-    if not (np.isfinite(rate).all() and np.minimum(mutual, chi).min() >= 0.0):
-        bad = ~(np.isfinite(rate) & (mutual >= 0.0) & (chi >= 0.0))
-        i_ab, chi_be = _first(bad, mutual, chi)
+    ok = np.isfinite(rate) & (np.minimum(mutual, chi) >= 0.0)
+    if not ok.all():
+        i_ab, chi_be = _first(~ok, mutual, chi)
         name, x = ("mutual_info", i_ab) if not 0 <= i_ab < math.inf else ("holevo_info", chi_be)
         raise NumericalDomainError(f"{name} must be finite and >= 0, got {x!r}")
     return rate
