@@ -640,10 +640,10 @@ def distance_cutoff(config, *, efficiency=_EFFICIENCY,
 
 
 # The zero predictor of distance_cutoff: at most this many Newton steps,
-# each one _chain pass over a 3x3 central-difference stencil with these
-# half-widths in L (km; at most a quarter of the cell) and ln(eta0).
-# Started at lo_km, it converges in 7-19 steps on seeded points with
-# n0 from 100 to 5000.
+# each one _chain pass over a 3x3 central-difference stencil (3x1 with a
+# fixed split) with these half-widths in L (km; at most a quarter of the
+# cell) and ln(eta0). Started at lo_km, it converges in 7-19 steps on
+# seeded points with n0 from 100 to 5000.
 _NEWTON_STEPS = 24
 _STENCIL_KM = 1e-2
 _STENCIL_LN = 1e-3
@@ -668,8 +668,9 @@ def _predict_cutoff(config, efficiency, gamma, cell, e0, tol, fixed):
     a, b = cell
     h_l = min(_STENCIL_KM, (b - a) / 4.0)
     h_u = 0.0 if fixed else _STENCIL_LN
+    c = 0 if fixed else 1  # the eta0 column at u: a fixed split rates that one alone
     u_lo, u_hi = (math.log(x) for x in ATTENUATION_BOUNDS)
-    l_offsets, u_offsets = h_l * _STENCIL[:, None], h_u * _STENCIL
+    l_offsets, u_offsets = h_l * _STENCIL[:, None], h_u * _STENCIL[1 - c:2 + c]
     x, u = a, math.log(e0)
     for _ in range(_NEWTON_STEPS):
         at = min(max(x, a + h_l), b - h_l)
@@ -678,9 +679,9 @@ def _predict_cutoff(config, efficiency, gamma, cell, e0, tol, fixed):
         r = _chain(config, efficiency, np.exp(u + u_offsets),
                    _fibre_transmittance(at + l_offsets, gamma)).rate.tolist()
         try:
-            r_l = (r[2][1] - r[0][1]) / (2.0 * h_l)
+            r_l = (r[2][c] - r[0][c]) / (2.0 * h_l)
             if fixed:
-                dx, du = -r[1][1] / r_l, 0.0
+                dx, du = -r[1][c] / r_l, 0.0
             else:
                 r_u = (r[1][2] - r[1][0]) / (2.0 * h_u)
                 r_uu = (r[1][2] - 2.0 * r[1][1] + r[1][0]) / (h_u * h_u)

@@ -619,11 +619,12 @@ def test_cutoff_halves_the_cell_when_the_prediction_misses(link_config, monkeypa
 def test_flat_stencil_ends_the_newton_steps(link_config, monkeypatch, fixed, level):
     """A stencil whose rate is flat (r_l = 0, and det = 0 when optimised)
     ends the steps after its one pass: the predictor returns a point in
-    the cell and raises and warns nothing."""
+    the cell and raises and warns nothing. A fixed split rates the one
+    eta0 column of its stencil, an optimised one all three."""
     passes = []
 
     def flat(config, efficiency, e0, t):
-        passes.append(np.shape(t))
+        passes.append(np.shape(e0))
         return SimpleNamespace(rate=np.full(np.broadcast_shapes(np.shape(e0), np.shape(t)),
                                             level))
 
@@ -633,7 +634,7 @@ def test_flat_stencil_ends_the_newton_steps(link_config, monkeypatch, fixed, lev
         warnings.simplefilter("error")
         x = pq.keyrate._predict_cutoff(link_config, 0.95, 0.2, cell, 1e-3, 1e-6, fixed)
     assert cell[0] <= x <= cell[1]
-    assert len(passes) == 1
+    assert passes == [(1,) if fixed else (3,)]
 
 
 def test_cutoff_from_a_nonzero_lo_km(link_config):
