@@ -4,8 +4,9 @@ A table is a ``# schema: <tag>`` line, a header row of column names,
 then one record per row, with LF line ends. Floats carry 17 significant
 digits, so they read back bit-identical: the reader certifies every value
 it parses itself as the correctly rounded double of its text, and leaves
-the rest to ``np.loadtxt``. Readers skip blank and ``#`` lines wherever
-they appear.
+the rest to ``np.loadtxt``, which reads a stream that cannot seek, or a
+table with blank or ``#`` lines amid its rows, whole. Readers skip blank
+and ``#`` lines wherever they appear.
 
 The float-matrix writer and the reader run their blocks on a thread pool
 of a fixed ``_WORKERS`` threads through ``ordered_map``. Each block's text
@@ -325,16 +326,18 @@ def read_table(file_or_path, label, pick):
     are rejected when every column is picked. Malformed input raises
     ``ParameterError`` naming the table by ``label``.
 
-    The rows after the header, from a path or from the rest of an open
-    text file, are parsed as UTF-8 bytes into a matrix sized from a
-    newline count. Each read of ``_CHUNK`` bytes, cut at its last newline,
-    is one piece of whole lines; a numpy kernel (``_parse_lines``) parses
-    the pieces on the pool of ``ordered_map``, each into the matrix rows
-    from its first line's number. A path and a seekable text file are read
-    twice in the same ``_CHUNK`` reads, once for each read's newline count
-    and once for the pieces, and hold only the pieces in flight; the text
-    of a stream that cannot seek is kept. The counts give each piece's
-    first line, so no piece is counted twice.
+    The rows after the header take one of two routes. Route 1 serves a
+    path and a seekable text file: their rows are read twice in the same
+    ``_CHUNK`` reads, once for each read's newline count and once as UTF-8
+    bytes, and only the pieces in flight are held. Each read, cut at its
+    last newline, is one piece of whole lines; a numpy kernel
+    (``_parse_lines``) parses the pieces on the pool of ``ordered_map``,
+    each into the rows of its own lines in a matrix sized from the counts.
+    Route 2 is one ``np.loadtxt`` over the whole table: from the path, from
+    the file seeked back to its first row, or from a stream that cannot
+    seek, which route 1 does not read. It also takes any table where route
+    1 raises ``ValueError``, so errors and results are those of
+    ``np.loadtxt``.
 
     The kernel reads fields written as ``[-]digits.digits`` with at most
     17 significant digits and certifies each double: D / 10**f, with D the
@@ -344,10 +347,8 @@ def read_table(file_or_path, label, pick):
     correctly rounded. A row holding a field the kernel refuses
     (exponents, no dot, nan, inf, spaces, CR, over 17 digits, a residual
     too close to a tie) is parsed by ``np.loadtxt`` from those lines
-    alone; a piece with blank or ``#`` lines or another field count by
-    ``np.loadtxt`` whole. Any ``ValueError`` on the way reruns
-    ``np.loadtxt`` over the whole table, so errors and results are those
-    of ``np.loadtxt``.
+    alone. Where that does not give one row of the table's width per line
+    (blank or ``#`` lines, another field count), the table takes route 2.
     """
     with _opened(file_or_path, "r") as f:
         skip = offset = 0
@@ -369,41 +370,25 @@ def read_table(file_or_path, label, pick):
             raise ParameterError([f"{label} header repeats column '{repeated[0]}'"])
         wanted = pick(names)
         usecols = None if wanted == names else [names.index(c) for c in wanted]
+        if f is file_or_path:  # an open text file, from its first row on
+            body, start, rerun, skip = f, _position(f), f, 0
+        else:  # a path: the rows are its bytes from offset on
+            body, start, rerun = f.buffer, offset, file_or_path
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
-                if f is not file_or_path:
-                    body = f.buffer  # the rows are the bytes from offset on
-                    body.seek(offset)
+                data = None
+                if start is not None:  # route 1: the kernel, over the rows read twice
+                    body.seek(start)
                     counts = [int(np.count_nonzero(np.frombuffer(b, np.uint8) == _LF))
-                              for b in iter(lambda: body.read(_CHUNK), b"")]
-                    body.seek(offset)
-                    chunks = iter(lambda: body.read(_CHUNK), b"")
-
-                    def rewind():
-                        return file_or_path, skip
-                elif (start := _position(f)) is not None:
-                    counts = [text.count("\n") for text in iter(lambda: f.read(_CHUNK), "")]
-                    f.seek(start)
-                    # Lone surrogates pass as bytes that the kernel refuses.
-                    chunks = (text.encode("utf-8", "surrogatepass")
-                              for text in iter(lambda: f.read(_CHUNK), ""))
-
-                    def rewind():
-                        f.seek(start)
-                        return f, 0
-                else:
-                    texts = list(iter(lambda: f.read(_CHUNK), ""))
-                    counts = [text.count("\n") for text in texts]
-                    chunks = (text.encode("utf-8", "surrogatepass") for text in texts)
-
-                    def rewind():
-                        return io.StringIO("".join(texts)), 0
-                try:
-                    data = _read_matrix(chunks, counts, len(names), usecols)
-                except ValueError:
-                    source, rows_before = rewind()
-                    data = np.loadtxt(source, delimiter=",", skiprows=rows_before,
+                              for b in _utf8_reads(body)]
+                    body.seek(start)
+                    try:
+                        data = _read_matrix(_utf8_reads(body), counts, len(names), usecols)
+                    except ValueError:
+                        body.seek(start)
+                if data is None:  # route 2: np.loadtxt over the whole table
+                    data = np.loadtxt(rerun, delimiter=",", skiprows=skip,
                                       usecols=usecols, ndmin=2, encoding="utf-8")
         except ValueError as exc:
             raise ParameterError([f"{label} has a malformed row: {exc}"]) from None
@@ -422,6 +407,13 @@ def _position(f):
         return f.tell() if f.seekable() else None
     except OSError:
         return None
+
+
+def _utf8_reads(body):
+    """``_CHUNK`` reads of the bytes or text file ``body``, as UTF-8 bytes;
+    lone surrogates pass as bytes that the kernel refuses."""
+    while chunk := body.read(_CHUNK):
+        yield chunk if isinstance(chunk, bytes) else chunk.encode("utf-8", "surrogatepass")
 
 
 def _pieces(chunks, counts):
@@ -445,7 +437,7 @@ def _pieces(chunks, counts):
 def _parse_piece(k, usecols, out, piece):
     """Parse a piece of whole lines (see ``_pieces``) into ``out`` from its
     first line's row on, through a word buffer padded for the kernel's
-    loads; returns the first line and the number of rows parsed."""
+    loads; returns the number of rows, one a line."""
     first, parts = piece
     size = sum(len(part) for part in parts)
     words = np.zeros((_PAD + size) // 8 + 3, np.uint64)  # the last aligned load
@@ -454,34 +446,30 @@ def _parse_piece(k, usecols, out, piece):
     for part in parts:
         buf[end:end + len(part)] = np.frombuffer(part, np.uint8)
         end += len(part)
-    return first, _parse_lines(words, end, k, usecols, out[first:])
+    return _parse_lines(words, end, k, usecols, out[first:])
 
 
 def _read_matrix(chunks, counts, k, usecols):
     """The float matrix of the lines of k fields in the byte strings
     ``chunks``, with ``counts`` newlines chunk by chunk; ``usecols`` picks
     columns as in ``np.loadtxt``. Pieces of whole lines are parsed on the
-    pool, each into the rows from its first line on; the rows are packed
-    down only after a piece that held blank or ``#`` lines.
+    pool, each into the rows of its own lines, so the matrix has one row a
+    line; ``ValueError`` from any piece ends the read.
     """
     out = np.empty((sum(counts) + 1, k if usecols is None else len(usecols)))
-    rows = 0
-    for first, count in ordered_map(partial(_parse_piece, k, usecols, out),
-                                    _pieces(chunks, counts)):
-        if first != rows:
-            out[rows:rows + count] = out[first:first + count]
-        rows += count
+    rows = sum(ordered_map(partial(_parse_piece, k, usecols, out), _pieces(chunks, counts)))
     return out[:rows]
 
 
 def _parse_lines(words, end, k, usecols, out):
     """Parse the whole lines in bytes ``_PAD:end`` of ``words`` into the
-    first rows of ``out``; returns the number of rows.
+    first rows of ``out``, one a line; returns the number of lines.
 
     One scan finds the bytes below '0' other than '-': in a line of k
     fields ``[-]digits.digits`` they alternate dot and separator, 2k of
     them. Lines that break this pattern, and lines holding a field the
-    kernel refuses, are parsed by ``np.loadtxt`` from those lines alone.
+    kernel refuses, are parsed by ``np.loadtxt`` from those lines alone;
+    ``ValueError`` unless that gives one row of ``out``'s width a line.
     """
     buf = words.view(np.uint8)
     text = buf[_PAD:end]
@@ -519,17 +507,11 @@ def _parse_lines(words, end, k, usecols, out):
     lines = buf[_PAD:end][np.repeat(~good, line_end - line_start + 1)].tobytes()
     parsed = np.loadtxt(io.StringIO(lines.decode("utf-8")), delimiter=",",
                         usecols=usecols, ndmin=2)
-    if parsed.shape == (others.size, values.shape[1]):
-        out[rows] = values
-        out[others] = parsed
-        return good.size
-    # Blank or comment lines, or rows of another width: the piece as a whole.
-    parsed = np.loadtxt(io.StringIO(buf[_PAD:end].tobytes().decode("utf-8")),
-                        delimiter=",", usecols=usecols, ndmin=2)
-    if parsed.shape[0] and parsed.shape[1] != values.shape[1]:
-        raise ValueError(f"rows of {parsed.shape[1]} fields")
-    out[:parsed.shape[0]] = parsed
-    return parsed.shape[0]
+    if parsed.shape != (others.size, values.shape[1]):
+        raise ValueError("blank or comment lines, or rows of another width")
+    out[rows] = values
+    out[others] = parsed
+    return good.size
 
 
 def _decimal_fields(words, starts, dots, seps):

@@ -1,6 +1,7 @@
 """The CSV wire format: field text, the float-matrix writer and the reader."""
 
 import io
+import os
 import re
 import sys
 import threading
@@ -239,13 +240,21 @@ def reader_family(name, rng):
 
 
 def spy_on_loadtxt(monkeypatch):
-    """Record the lines every ``np.loadtxt`` call on a text stream reads."""
+    """Record each ``np.loadtxt`` call as (kind, source): ("path", the
+    path), ("lines", the text) for the per-line ``StringIO`` of the rows
+    the kernel refuses, or ("file", the open file). The per-line source is
+    a fresh ``StringIO`` at position 0; an open file reaches ``np.loadtxt``
+    past its header."""
     seen = []
     loadtxt = np.loadtxt
 
     def spy(fname, *args, **kwargs):
-        if isinstance(fname, io.StringIO):
-            seen.append(fname.getvalue())
+        if isinstance(fname, (str, os.PathLike)):
+            seen.append(("path", fname))
+        elif type(fname) is io.StringIO and fname.tell() == 0:
+            seen.append(("lines", fname.getvalue()))
+        else:
+            seen.append(("file", fname))
         return loadtxt(fname, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", spy)
@@ -284,7 +293,8 @@ def test_reader_kernel_matches_float(tmp_path, monkeypatch, family):
         seen.clear()
         got = tables.read_table(source, "t", lambda names: names)["v"]
         assert np.array_equal(bits(got), bits(want))
-        refused = sum(chunk.count("\n") for chunk in seen) / len(texts)
+        assert all(kind == "lines" for kind, _ in seen)
+        refused = sum(lines.count("\n") for _, lines in seen) / len(texts)
         if refused_share == 1.0:
             assert refused == 1.0
         elif refused_share is not None:
@@ -328,7 +338,7 @@ def test_reader_refused_fields_take_their_rows_alone(tmp_path, monkeypatch, fiel
     seen = spy_on_loadtxt(monkeypatch)
     got = read_both(tmp_path, text)
     assert np.array_equal(bits(got), bits(want))
-    assert seen == [lines[22] + "\n"] * 2
+    assert seen == [("lines", lines[22] + "\n")] * 2
 
 
 @pytest.mark.parametrize("edit", ["crlf", "blank-line", "comment-line",
@@ -359,7 +369,7 @@ def test_reader_line_structure_matches_loadtxt(tmp_path, monkeypatch, edit, chun
     seen = spy_on_loadtxt(monkeypatch)
     assert np.array_equal(bits(read_both(tmp_path, text)), bits(want))
     if edit == "long-line":  # the kernel's buffer grows to hold it
-        assert seen == [lines[30] + "\n"] * 2
+        assert seen == [("lines", lines[30] + "\n")] * 2
 
 
 @pytest.mark.parametrize("columns", [6, 8])
@@ -375,6 +385,35 @@ def test_reader_rows_across_chunk_edges(tmp_path, monkeypatch, columns):
     assert np.array_equal(bits(got), bits(want))
     back = pq.read_sample_csv(io.StringIO(text))
     assert np.may_share_memory(back.x1, back.columns()[-1])
+
+
+@pytest.mark.parametrize("inserted", [None, "1.5e-05,2.5,3.5,4.5,5.5,6.5", "", "# a note"],
+                         ids=["clean", "exponent", "blank-line", "comment-line"])
+def test_reader_routes(tmp_path, monkeypatch, inserted):
+    """A path or a seekable file is read by the kernel: a clean table makes
+    no ``np.loadtxt`` call, and an exponent row one over that line alone.
+    A blank or ``#`` line in a middle piece gives no row, so the table is
+    read by one ``np.loadtxt`` over the whole of it, from the path itself
+    or from the file seeked back to its first row."""
+    monkeypatch.setattr(tables, "_CHUNK", 64)
+    lines = sample_text(6, 60, 5).split("\n")
+    if inserted is not None:
+        lines.insert(32, inserted)
+    text = "\n".join(lines)
+    want = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=2, ndmin=2)
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    seen = spy_on_loadtxt(monkeypatch)
+    for kind, source in (("path", path), ("file", io.StringIO(text))):
+        seen.clear()
+        got = tables.read_table(source, "t", lambda names: names)
+        assert np.array_equal(bits(np.column_stack(list(got.values()))), bits(want))
+        if inserted is None:
+            assert seen == []
+        elif inserted in ("", "# a note"):
+            assert seen == [("lines", inserted + "\n"), (kind, source)]
+        else:
+            assert seen == [("lines", inserted + "\n")]
 
 
 @pytest.mark.parametrize("chunk", [64, 1 << 18])
@@ -413,9 +452,9 @@ class Unseekable(io.StringIO):
 def test_open_files_read_like_paths(tmp_path, monkeypatch, chunk):
     """An open file read in two passes from after its header (found by
     ``readline``, which leaves ``tell`` working), and a stream that cannot
-    seek or a file iterated with ``next``, whose text is kept, read the rows
-    of the path bit for bit; with a malformed row each raises the error of
-    ``np.loadtxt``."""
+    seek or a file iterated with ``next``, which ``np.loadtxt`` reads whole,
+    read the rows of the path bit for bit; with a malformed row each raises
+    the error of ``np.loadtxt``."""
     monkeypatch.setattr(tables, "_CHUNK", chunk)
     text = "# a note\n\n" + sample_text(6, 200, 4)
     path = tmp_path / "s.csv"
@@ -443,6 +482,32 @@ def test_open_files_read_like_paths(tmp_path, monkeypatch, chunk):
             with pytest.raises(pq.ParameterError) as err:
                 pq.read_sample_csv(source)
             assert err.value.violations == expected
+
+
+def test_streams_are_read_by_loadtxt_alone(tmp_path, monkeypatch):
+    """A stream that cannot seek, and a file iterated with ``next``, are
+    read by one ``np.loadtxt`` over the stream, which is not held as text;
+    the kernel never runs."""
+    text = "# a note\n" + sample_text(6, 200, 4)
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    want = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=3)
+
+    def kernel(*args):
+        raise AssertionError("the kernel read a stream")
+
+    monkeypatch.setattr(tables, "_read_matrix", kernel)
+    seen = spy_on_loadtxt(monkeypatch)
+    stream = Unseekable(text)
+    got = np.column_stack(pq.read_sample_csv(stream).columns())
+    assert np.array_equal(bits(got), bits(want))
+    assert seen == [("file", stream)]
+    with open(path, encoding="utf-8") as f:
+        next(f)  # which disables ``f.tell()``
+        seen.clear()
+        got = np.column_stack(pq.read_sample_csv(f).columns())
+        assert np.array_equal(bits(got), bits(want))
+        assert seen == [("file", f)]
 
 
 def test_no_thread_outlives_a_call(tmp_path, monkeypatch, bench_config):
@@ -487,9 +552,10 @@ def test_no_thread_outlives_a_call(tmp_path, monkeypatch, bench_config):
 
 def test_pool_stress_keeps_rows_in_order(tmp_path, monkeypatch):
     """Eight threads on two cores, a short switch interval and small jobs:
-    the writer's blocks still give ``np.savetxt``'s bytes, and the reader's
-    pieces, some holding blank and ``#`` lines that move the later rows
-    down, still give ``np.loadtxt``'s bits."""
+    the writer's blocks still give ``np.savetxt``'s bytes, the kernel's
+    pieces still give ``np.loadtxt``'s bits with no ``np.loadtxt`` call,
+    and the same text with blank and ``#`` lines amid its rows still reads
+    as ``np.loadtxt`` reads it."""
     matrix = np.random.default_rng(8).normal(0.0, 20.0, (1500, 6))
     monkeypatch.setattr(tables, "_WORKERS", 8)
     monkeypatch.setattr(tables, "_ROW_BLOCK", 7)
@@ -500,6 +566,10 @@ def test_pool_stress_keeps_rows_in_order(tmp_path, monkeypatch):
         buf = io.StringIO()
         tables.write_table(buf, "samples", ["x1", "x2", "x3", "p1", "p2", "p3"], matrix)
         assert buf.getvalue().split("\n", 2)[2] == savetxt_reference(matrix)
+        clean = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=2)
+        seen = spy_on_loadtxt(monkeypatch)
+        assert np.array_equal(bits(read_both(tmp_path, buf.getvalue())), bits(clean))
+        assert seen == []
         lines = buf.getvalue().split("\n")
         for at in range(1400, 2, -37):
             lines.insert(at, "" if at % 2 else "# a note")
