@@ -371,9 +371,9 @@ def read_table(file_or_path, label, pick):
         wanted = pick(names)
         usecols = None if wanted == names else [names.index(c) for c in wanted]
         if f is file_or_path:  # an open text file, from its first row on
-            body, start, rerun, skip = f, _position(f), f, 0
+            body, start, skip = f, _position(f), 0
         else:  # a path: the rows are its bytes from offset on
-            body, start, rerun = f.buffer, offset, file_or_path
+            body, start = f.buffer, offset
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
@@ -388,7 +388,7 @@ def read_table(file_or_path, label, pick):
                     except ValueError:
                         body.seek(start)
                 if data is None:  # route 2: np.loadtxt over the whole table
-                    data = np.loadtxt(rerun, delimiter=",", skiprows=skip,
+                    data = np.loadtxt(file_or_path, delimiter=",", skiprows=skip,
                                       usecols=usecols, ndmin=2, encoding="utf-8")
         except ValueError as exc:
             raise ParameterError([f"{label} has a malformed row: {exc}"]) from None
